@@ -1,0 +1,21 @@
+//! Stamps the binary with the compiler that built it and the cargo
+//! profile, for the environment line every result carries.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(&rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".into());
+    let profile = std::env::var("PROFILE").unwrap_or_else(|_| "unknown".into());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rustc-env=PERFBENCH_PROFILE={profile}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
