@@ -52,10 +52,9 @@ pub fn naive_scan(
     }
     let scorer = K2Scorer::new(n);
     let start = Instant::now();
-    let states = pool::run_dynamic(
+    let states = pool::run_unit_claims(
         m,
-        threads,
-        1,
+        pool::resolve_threads(threads),
         || TopK::new(top_k),
         |i0, top| {
             for t in combin::triples_with_leading(m, i0) {

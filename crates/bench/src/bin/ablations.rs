@@ -3,15 +3,14 @@
 //! 1. phenotype split + genotype-2 inference (V1 → V2)
 //! 2. cache blocking (V2 → V3) and the ⟨B_S, B_P⟩ sweep
 //! 3. vectorisation tier (scalar / AVX2 / AVX-512 / AVX-512-VPOPCNT)
-//! 4. scheduler (dynamic pool vs Rayon vs static split)
-//! 5. GPU layout coalescing (row-major vs transposed vs tiled)
+//! 4. GPU layout coalescing (row-major vs transposed vs tiled)
 //!
 //! Run with: `cargo run --release -p bench --bin ablations [snps=N] [samples=N]`
 
 use bench::{arg_usize, workload, TextTable};
 use bitgenome::layout::{RowMajorPlanes, TiledPlanes, TransposedPlanes};
 use bitgenome::{SimdLevel, SplitDataset};
-use epi_core::scan::{scan, ScanConfig, Scheduler, Version};
+use epi_core::scan::{scan, ScanConfig, Version};
 use epi_core::BlockParams;
 use gpu_sim::coalesce::coalescing_efficiency;
 
@@ -78,30 +77,8 @@ fn main() {
     }
     println!("{}", t.render());
 
-    // 4. scheduler
-    println!("== ablation 4: task scheduler (V4) ==\n");
-    // spin up rayon's global pool so its one-time cost is not billed to
-    // the measured run
-    rayon::ThreadPoolBuilder::new().build_global().ok();
-    rayon::scope(|_| {});
-    let mut t = TextTable::new(vec!["scheduler", "G elems/s"]);
-    for (name, sched) in [
-        ("dynamic pool (paper)", Scheduler::Pool),
-        ("rayon work stealing", Scheduler::Rayon),
-        ("static split", Scheduler::Static),
-    ] {
-        let mut cfg = ScanConfig::new(Version::V4);
-        cfg.scheduler = sched;
-        let res = scan(&g, &p, &cfg);
-        t.row(vec![
-            name.to_string(),
-            format!("{:.2}", res.giga_elements_per_sec()),
-        ]);
-    }
-    println!("{}", t.render());
-
-    // 5. GPU layout coalescing (measured from address streams)
-    println!("== ablation 5: GPU layout coalescing efficiency ==\n");
+    // 4. GPU layout coalescing (measured from address streams)
+    println!("== ablation 4: GPU layout coalescing efficiency ==\n");
     let split = SplitDataset::encode(&g, &p);
     let row = RowMajorPlanes::new(split.controls(), m);
     let tr = TransposedPlanes::from_class(split.controls(), m);

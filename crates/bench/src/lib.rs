@@ -1,9 +1,10 @@
 //! # bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus
-//! Criterion micro-benchmarks (see `benches/`). This library holds the
-//! shared plumbing: workload construction, host-scaled measurement, and
-//! text-table rendering.
+//! One binary per table/figure of the paper (see `src/bin/`); timing of
+//! the scanner and the job service lives in the repository's
+//! `perfbench/` harness. This library holds the shared plumbing:
+//! workload construction, host-scaled measurement, and text-table
+//! rendering.
 //!
 //! Paper-scale inputs (up to 40 000 SNPs) are quadrillions of
 //! combination-samples; the measured harnesses default to scaled-down SNP

@@ -144,8 +144,9 @@ impl VersionCosts {
 
     /// Analytic model of the **parallel** blocked V5 configuration at a
     /// given worker count — the planning counterpart of the run-aware
-    /// scheduler, validated against `epi3 bench`'s measured `scaling`
-    /// block. See [`V5ParallelModel`] for the derivation of each field.
+    /// scheduler; `perfbench` reports the measured side as the
+    /// `scan.xpair_hit_rate` and `pool.xpair_hit_min_2w` metrics. See
+    /// [`V5ParallelModel`] for the derivation of each field.
     pub fn v5_parallel(
         nb: usize,
         workers: usize,
@@ -169,11 +170,6 @@ impl VersionCosts {
         // most once per claim (each claim is one contiguous same-pair
         // span, up to splits).
         let hit_rate_run_aware = 1.0 - claims / tasks;
-        // Chunk-1: a worker's successive tasks are ~W apart in the rank
-        // order, so its cache hits only when no run boundary falls in
-        // those W steps; boundary density is runs/tasks.
-        let runs = crate::combin::n_choose_k(nb as u64 + 1, 2) as f64;
-        let hit_rate_chunk1 = (1.0 - workers as f64 * runs / tasks).max(0.0);
         V5ParallelModel {
             workers,
             per_worker_budget: crate::block::BlockParams::budget_from_caches_for_workers(
@@ -181,7 +177,6 @@ impl VersionCosts {
             ),
             mean_claim_run_len: tasks / claims,
             hit_rate_run_aware,
-            hit_rate_chunk1,
         }
     }
 
@@ -225,11 +220,9 @@ impl VersionCosts {
 ///   occupies, halved, floored at the fixed 4 MiB;
 /// * `mean_claim_run_len` — expected tasks per run-aware claim (whole
 ///   `(b0, b1)` runs, tail-split at the `⌈tasks / 2W⌉` balance cap);
-/// * `hit_rate_run_aware` / `hit_rate_chunk1` — predicted pool-wide
-///   block-pair cache hit rates of the two schedulers. Run-aware misses
-///   once per claim whatever the worker count; chunk-1 decays roughly
-///   linearly in `W` because consecutive tasks of a run land on
-///   different workers.
+/// * `hit_rate_run_aware` — predicted pool-wide block-pair cache hit
+///   rate. Run-aware claiming misses once per claim whatever the worker
+///   count.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct V5ParallelModel {
     /// Worker count the model was evaluated at.
@@ -240,8 +233,6 @@ pub struct V5ParallelModel {
     pub mean_claim_run_len: f64,
     /// Predicted pool-wide hit rate under run-aware claiming.
     pub hit_rate_run_aware: f64,
-    /// Predicted pool-wide hit rate under chunk-1 claiming.
-    pub hit_rate_chunk1: f64,
 }
 
 #[cfg(test)]
@@ -352,10 +343,7 @@ mod tests {
         let m1 = at(1);
         assert!((m1.hit_rate_run_aware - (1.0 - 91.0 / 455.0)).abs() < 1e-12);
         assert!((m1.mean_claim_run_len - 455.0 / 91.0).abs() < 1e-12);
-        // sequentially both schedulers are the same traversal
-        assert!((m1.hit_rate_chunk1 - m1.hit_rate_run_aware).abs() < 1e-12);
 
-        let mut prev_chunk1 = f64::INFINITY;
         let mut prev_budget = usize::MAX;
         for w in [1usize, 2, 4, 8, 16] {
             let m = at(w);
@@ -365,18 +353,12 @@ mod tests {
                 m.hit_rate_run_aware >= 0.9 * m1.hit_rate_run_aware,
                 "w={w}: {m:?}"
             );
-            // chunk-1 decays monotonically and is never better
-            assert!(m.hit_rate_chunk1 <= prev_chunk1 + 1e-12);
-            assert!(m.hit_rate_chunk1 <= m.hit_rate_run_aware + 1e-12);
-            prev_chunk1 = m.hit_rate_chunk1;
             // the budget shrinks with contention but never to zero
             assert!(m.per_worker_budget <= prev_budget);
             assert!(m.per_worker_budget >= crate::block::CROSS_PAIR_CACHE_BUDGET);
             prev_budget = m.per_worker_budget;
         }
-        // at 4 workers the chunk-1 cache has all but collapsed
-        assert!(at(4).hit_rate_chunk1 < 0.25);
-        // and matches the budget arithmetic of the block module
+        // the budget matches the budget arithmetic of the block module
         assert_eq!(at(4).per_worker_budget, 13 << 20);
     }
 

@@ -181,10 +181,9 @@ pub fn scan_kway(
     let start = Instant::now();
     // worker state: TopK over (score, packed combo); combos are packed
     // into the triple type when k <= 3, otherwise tracked via index map
-    let states = pool::run_dynamic(
+    let states = pool::run_unit_claims(
         m,
-        threads,
-        1,
+        pool::resolve_threads(threads),
         || {
             (
                 TopK::new(top_k),

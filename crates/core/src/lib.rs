@@ -59,6 +59,6 @@ pub use k2::{K2Scorer, LnFactTable, MutualInformation, Objective};
 pub use pool::PoolCacheStats;
 pub use prefixcache::{PairPrefixCache, PrefixCache};
 pub use result::{Candidate, TopK, Triple};
-pub use scan::{scan, ScanConfig, ScanResult, Scheduler, Version};
-pub use shard::{scan_shard, scan_sharded, scan_sharded_stats, ShardPlan};
+pub use scan::{scan, ScanConfig, ScanResult, Version};
+pub use shard::{scan_shard, scan_sharded, ShardPlan};
 pub use table27::ContingencyTable;

@@ -164,10 +164,9 @@ pub fn scan_pairs(
     let scorer = K2Scorer::new(genotypes.num_samples());
     let level = SimdLevel::detect();
     let start = Instant::now();
-    let states = pool::run_dynamic(
+    let states = pool::run_unit_claims(
         m,
-        threads,
-        1,
+        pool::resolve_threads(threads),
         || TopK::new(top_k),
         |i0, top| {
             for i1 in (i0 + 1)..m {

@@ -5,23 +5,20 @@
 //! balancing", keeping scores thread-local and reducing at the end
 //! (§IV-A). This module is that scheme: a shared atomic task cursor,
 //! scoped worker threads, per-worker state, and a final collection — no
-//! locks in the steady state.
+//! locks in the steady state. The monolithic, sharded, pair and k-way
+//! scans, the baselines and the GPU simulator's host evaluation all run
+//! on it.
 //!
-//! Two claiming granularities are provided:
-//!
-//! * [`run_dynamic`] — the original per-task (or fixed-chunk) cursor;
-//! * [`run_claims`] over a [`plan_claims`] plan — **run-aware** claiming:
-//!   the caller groups the task sequence into *runs* of tasks that share
-//!   cacheable state (the `(b0, b1)` block pair of the blocked V5 kernel,
-//!   the contiguous rank span of a shard batch) and workers claim whole
-//!   runs, so per-worker LRU caches stay hot instead of collapsing the
-//!   moment a second worker appears. Oversized runs are tail-split for
-//!   balance; the claim plan is precomputed, so the steady state is still
-//!   a single `fetch_add` per claim.
-//!
-//! The higher-level drivers in [`crate::scan`] can also run on Rayon; the
-//! benches compare both (the pool is the closer analogue of the paper's
-//! OpenMP `schedule(dynamic)`).
+//! Workers claim **runs** of tasks ([`run_claims`] over a [`plan_claims`]
+//! plan): the caller groups the task sequence into runs of tasks that
+//! share cacheable state (the `(b0, b1)` block pair of the blocked V5
+//! kernel, the contiguous rank span of a shard batch) and workers claim
+//! whole runs, so per-worker LRU caches stay hot instead of collapsing
+//! the moment a second worker appears. Oversized runs are tail-split for
+//! balance; the claim plan is precomputed, so the steady state is still
+//! a single `fetch_add` per claim. Task sequences without run structure
+//! (leading-index tasks, pair rows) use [`run_unit_claims`], where every
+//! task is its own claim.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -29,9 +26,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// any explicit request is clamped to the host's available parallelism —
 /// a CPU-bound scan gains nothing from oversubscription, and silently
 /// spawning 512 workers on an 8-core box only costs memory and context
-/// switches. (The scheduler *benchmark* deliberately bypasses this via
-/// [`run_claims`]' exact worker count to measure claiming locality under
-/// contention.)
+/// switches. (Benchmarks deliberately bypass this via [`run_claims`]'
+/// exact worker count to measure claiming locality under contention.)
 pub fn resolve_threads(requested: usize) -> usize {
     let avail = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -91,10 +87,10 @@ pub fn plan_claims(run_lens: &[usize], workers: usize) -> Vec<Claim> {
 /// granularity: workers `fetch_add` a claim index and process that
 /// claim's tasks in order, keeping per-worker state across claims.
 ///
-/// The worker count is honored exactly — no host clamping — because this
-/// is the primitive the scheduler-locality benchmark oversubscribes on
-/// purpose; callers that accept user input resolve through
-/// [`resolve_threads`] first.
+/// The worker count is honored exactly — no host clamping — so a
+/// locality measurement can oversubscribe a small host on purpose;
+/// callers that accept user input resolve through [`resolve_threads`]
+/// first.
 pub fn run_claims<S, MS, T>(claims: &[Claim], workers: usize, make_state: MS, task: T) -> Vec<S>
 where
     S: Send,
@@ -104,11 +100,12 @@ where
     run_claim_fn(claims.len(), &|c| claims[c], workers, make_state, task)
 }
 
-/// [`run_claims`] over the chunk-1 plan (every task its own claim),
-/// generated lazily — the baseline the run-aware planner is measured
-/// against, and the degenerate plan for task sequences with no run
-/// structure. Allocation-free, so the baseline scales to panels whose
-/// task count would make a materialized claim vector prohibitive.
+/// [`run_claims`] over the unit plan (every task its own claim),
+/// generated lazily — the plan for task sequences with no run
+/// structure. Allocation-free, so it scales to panels whose task count
+/// would make a materialized claim vector prohibitive. Like
+/// [`run_claims`] it honors `workers` exactly (bounded by the task
+/// count).
 pub fn run_unit_claims<S, MS, T>(n_tasks: usize, workers: usize, make_state: MS, task: T) -> Vec<S>
 where
     S: Send,
@@ -217,77 +214,6 @@ impl PoolCacheStats {
     }
 }
 
-/// Run `n_tasks` tasks over `threads` workers with dynamic self-scheduling
-/// in chunks of `chunk` tasks, returning every worker's final state.
-///
-/// * `make_state` creates the thread-local state (e.g. a `TopK`);
-/// * `task(idx, state)` processes task `idx`.
-///
-/// Tasks are claimed with a single `fetch_add` per chunk; larger chunks
-/// amortise contention for very cheap tasks, `chunk = 1` maximises balance
-/// for expensive ones.
-pub fn run_dynamic<S, MS, T>(
-    n_tasks: usize,
-    threads: usize,
-    chunk: usize,
-    make_state: MS,
-    task: T,
-) -> Vec<S>
-where
-    S: Send,
-    MS: Fn() -> S + Sync,
-    T: Fn(usize, &mut S) + Sync,
-{
-    let threads = resolve_threads(threads).min(n_tasks.max(1));
-    let chunk = chunk.max(1);
-    let n_claims = n_tasks.div_ceil(chunk);
-    run_claim_fn(
-        n_claims,
-        &|c| (c * chunk, (c * chunk + chunk).min(n_tasks)),
-        threads,
-        make_state,
-        task,
-    )
-}
-
-/// Run `n_tasks` over `threads` workers with a *static* even split
-/// (contiguous ranges). Provided as the ablation counterpart of
-/// [`run_dynamic`] — the paper chose dynamic scheduling precisely because
-/// triangular triple enumeration makes static splits imbalanced.
-pub fn run_static<S, MS, T>(n_tasks: usize, threads: usize, make_state: MS, task: T) -> Vec<S>
-where
-    S: Send,
-    MS: Fn() -> S + Sync,
-    T: Fn(usize, &mut S) + Sync,
-{
-    let threads = resolve_threads(threads).min(n_tasks.max(1));
-    let per = n_tasks.div_ceil(threads);
-    let mut states: Vec<Option<S>> = Vec::new();
-    states.resize_with(threads, || None);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let make_state = &make_state;
-            let task = &task;
-            handles.push(scope.spawn(move || {
-                let mut state = make_state();
-                let start = t * per;
-                let end = ((t + 1) * per).min(n_tasks);
-                for idx in start..end {
-                    task(idx, &mut state);
-                }
-                state
-            }));
-        }
-        for (slot, handle) in states.iter_mut().zip(handles) {
-            *slot = Some(handle.join().expect("worker thread panicked"));
-        }
-    });
-
-    states.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,10 +223,9 @@ mod tests {
     fn dynamic_processes_every_task_exactly_once() {
         let n = 1000;
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let states = run_dynamic(
+        let states = run_unit_claims(
             n,
             4,
-            7,
             || 0u64,
             |idx, count| {
                 hits[idx].fetch_add(1, Ordering::Relaxed);
@@ -313,11 +238,17 @@ mod tests {
 
     #[test]
     fn static_processes_every_task_exactly_once() {
-        let n = 103;
+        // A static even split is a plan of one contiguous range per worker.
+        let (n, workers) = (103usize, 5usize);
+        let per = n.div_ceil(workers);
+        let claims: Vec<Claim> = (0..workers)
+            .map(|t| (t * per, ((t + 1) * per).min(n)))
+            .filter(|&(s, e)| s < e)
+            .collect();
         let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        let states = run_static(
-            n,
-            5,
+        let states = run_claims(
+            &claims,
+            workers,
             || 0u64,
             |idx, count| {
                 hits[idx].fetch_add(1, Ordering::Relaxed);
@@ -333,20 +264,20 @@ mod tests {
         let n = 500usize;
         let want: u64 = (0..n as u64).sum();
         for threads in [1, 2, 8] {
-            let states = run_dynamic(n, threads, 3, || 0u64, |idx, acc| *acc += idx as u64);
+            let states = run_unit_claims(n, threads, || 0u64, |idx, acc| *acc += idx as u64);
             assert_eq!(states.iter().sum::<u64>(), want);
         }
     }
 
     #[test]
     fn zero_tasks_is_fine() {
-        let states = run_dynamic(0, 4, 1, || 1u32, |_, _| unreachable!());
+        let states = run_unit_claims(0, 4, || 1u32, |_, _| unreachable!());
         assert!(states.len() <= 1);
     }
 
     #[test]
     fn more_threads_than_tasks_is_clamped() {
-        let states = run_dynamic(2, 64, 1, || 0u32, |_, c| *c += 1);
+        let states = run_unit_claims(2, 64, || 0u32, |_, c| *c += 1);
         assert!(states.len() <= 2);
         assert_eq!(states.iter().sum::<u32>(), 2);
     }

@@ -65,28 +65,6 @@ impl std::fmt::Display for Version {
     }
 }
 
-/// How tasks are distributed over worker threads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Hand-rolled dynamic pool ([`crate::pool`]) with **run-aware**
-    /// claiming on the blocked and sharded paths: workers claim whole
-    /// runs of tasks sharing their `(b0, b1)` block pair (respectively
-    /// contiguous rank spans), so the V5 cross-pair and pair-prefix
-    /// caches stay hot per worker instead of collapsing under
-    /// parallelism. The paper's dynamic scheme, made locality-aware.
-    #[default]
-    Pool,
-    /// The pre-locality dynamic pool: every task claimed individually
-    /// (`chunk = 1`), maximally balanced and maximally cache-hostile —
-    /// kept as the measured baseline the run-aware scheduler is judged
-    /// against (`epi3 bench`'s `scaling` block runs both).
-    PoolChunk1,
-    /// Rayon work stealing.
-    Rayon,
-    /// Static even split (ablation: shows why dynamic wins).
-    Static,
-}
-
 /// Scoring objective selection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ObjectiveKind {
@@ -106,8 +84,6 @@ pub struct ScanConfig {
     pub threads: usize,
     /// Number of best candidates to retain.
     pub top_k: usize,
-    /// Task distribution strategy.
-    pub scheduler: Scheduler,
     /// Tiling parameters for V3–V5 (`None` = paper policy for the
     /// detected host L1 at the detected vector width; 32 KiB/8-way when
     /// detection fails).
@@ -125,7 +101,6 @@ impl ScanConfig {
             version,
             threads: 0,
             top_k: 1,
-            scheduler: Scheduler::Pool,
             block: None,
             simd: None,
             objective: ObjectiveKind::K2,
@@ -248,9 +223,9 @@ pub fn scan_unsplit(ds: &UnsplitDataset, cfg: &ScanConfig) -> ScanResult {
     }
     let scorer = build_objective(cfg, n);
     let start = Instant::now();
-    let states = run_tasks(
+    let states = pool::run_unit_claims(
         m,
-        cfg,
+        pool::resolve_threads(cfg.threads),
         || TopK::new(cfg.top_k),
         |i0, top: &mut TopK| {
             for t in combin::triples_with_leading(m, i0) {
@@ -267,27 +242,12 @@ pub fn scan_split(ds: &SplitDataset, cfg: &ScanConfig) -> ScanResult {
     scan_split_inner(ds, cfg, None).0
 }
 
-/// [`scan_split`] that also returns the aggregated per-worker V5
-/// cross-pair cache statistics (`None` for V2–V4, which carry no
-/// cross-task cache) — what the CI hit-rate gate and the scaling
-/// benchmark judge the whole pool by.
-pub fn scan_split_stats(
-    ds: &SplitDataset,
-    cfg: &ScanConfig,
-) -> (ScanResult, Option<PoolCacheStats>) {
-    scan_split_inner(ds, cfg, None)
-}
-
-/// [`scan_split_stats`] at an **exact** worker count, bypassing the
-/// [`pool::resolve_threads`] host clamp: the scheduler-locality benchmark
-/// deliberately oversubscribes small hosts to measure how claiming
-/// behaves under contention. Results are bit-identical at any worker
-/// count; only throughput and cache statistics move.
-///
-/// The exact count applies to the pool schedulers ([`Scheduler::Pool`]
-/// and [`Scheduler::PoolChunk1`]) — the ones the benchmark measures.
-/// [`Scheduler::Rayon`] and [`Scheduler::Static`] keep their own task
-/// distribution and resolve `cfg.threads` through the host clamp.
+/// [`scan_split`] at an **exact** worker count, bypassing the
+/// [`pool::resolve_threads`] host clamp (a locality measurement may
+/// oversubscribe a small host on purpose), that also returns the
+/// aggregated per-worker V5 cross-pair cache statistics (`None` for
+/// V2–V4, which carry no cross-task cache). Results are bit-identical
+/// at any worker count; only throughput and cache statistics move.
 pub fn scan_split_with_workers(
     ds: &SplitDataset,
     cfg: &ScanConfig,
@@ -308,6 +268,9 @@ fn scan_split_inner(
         return (empty_result(), None);
     }
     let scorer = build_objective(cfg, n);
+    // Both the claim plan and the concurrency-honest cross-pair budget
+    // depend on the worker count, so resolve it up front.
+    let w = workers.unwrap_or_else(|| pool::resolve_threads(cfg.threads));
 
     match cfg.version {
         Version::V2 => {
@@ -318,22 +281,11 @@ fn scan_split_inner(
                     top.push(scorer.score(&table), t);
                 }
             };
-            let make = || TopK::new(cfg.top_k);
-            let states = match (workers, cfg.scheduler) {
-                // honor an explicit worker count on the pool schedulers
-                // (leading-index tasks have no run structure, so both
-                // pool modes claim task-by-task)
-                (Some(w), Scheduler::Pool | Scheduler::PoolChunk1) => {
-                    pool::run_unit_claims(m, w, make, task)
-                }
-                _ => run_tasks(m, cfg, make, task),
-            };
+            // leading-index tasks have no run structure: claim task-by-task
+            let states = pool::run_unit_claims(m, w, || TopK::new(cfg.top_k), task);
             (finish(states, m, n, start, cfg), None)
         }
         _ => {
-            // Resolve the worker count up front: both the claim plan and
-            // the concurrency-honest cross-pair budget depend on it.
-            let w = workers.unwrap_or_else(|| pool::resolve_threads(cfg.threads));
             let scanner = BlockedScanner::new(ds, cfg.effective_block(), cfg.effective_simd())
                 .with_cross_pair_budget(BlockParams::with_detected_budget_for_workers(w));
             let tasks = scanner.tasks();
@@ -412,11 +364,9 @@ fn block_pair_run_lens(tasks: &[(usize, usize, usize)]) -> Vec<usize> {
 /// scratch type and the kernel invocation differ between versions, so
 /// both are closure parameters.
 ///
-/// Under [`Scheduler::Pool`] workers claim whole `(b0, b1)` runs
-/// ([`pool::plan_claims`]), which is what keeps each worker's V5
-/// block-pair cache hot across the `b2` sweep; [`Scheduler::PoolChunk1`]
-/// claims task-by-task (the pre-locality baseline). Rayon and Static
-/// keep their original task distribution.
+/// Workers claim whole `(b0, b1)` runs ([`pool::plan_claims`]), which
+/// is what keeps each worker's V5 block-pair cache hot across the `b2`
+/// sweep.
 fn drive_blocked<S, MS, K>(
     scanner: &BlockedScanner<'_>,
     tasks: &[(usize, usize, usize)],
@@ -438,60 +388,14 @@ where
             top.push(score(ctrl, case), t)
         });
     };
-    match cfg.scheduler {
-        Scheduler::Pool => {
-            let claims = pool::plan_claims(&block_pair_run_lens(tasks), workers);
-            pool::run_claims(&claims, workers, make, task)
-        }
-        Scheduler::PoolChunk1 => pool::run_unit_claims(tasks.len(), workers, make, task),
-        Scheduler::Rayon | Scheduler::Static => run_tasks(tasks.len(), cfg, make, task),
-    }
+    let claims = pool::plan_claims(&block_pair_run_lens(tasks), workers);
+    pool::run_claims(&claims, workers, make, task)
 }
 
 pub(crate) fn build_objective(cfg: &ScanConfig, n: usize) -> Box<dyn Objective> {
     match cfg.objective {
         ObjectiveKind::K2 => Box::new(K2Scorer::new(n)),
         ObjectiveKind::NegMutualInformation => Box::new(MutualInformation),
-    }
-}
-
-/// Distribute `n_tasks` over workers according to the configured
-/// scheduler, returning all worker states.
-fn run_tasks<S, MS, T>(n_tasks: usize, cfg: &ScanConfig, make: MS, task: T) -> Vec<S>
-where
-    S: Send,
-    MS: Fn() -> S + Sync + Send,
-    T: Fn(usize, &mut S) + Sync + Send,
-{
-    match cfg.scheduler {
-        // without run structure (leading-index tasks) both pool modes
-        // degenerate to per-task claiming
-        Scheduler::Pool | Scheduler::PoolChunk1 => {
-            pool::run_dynamic(n_tasks, cfg.threads, 1, make, task)
-        }
-        Scheduler::Static => pool::run_static(n_tasks, cfg.threads, make, task),
-        Scheduler::Rayon => {
-            use rayon::prelude::*;
-            let body = || {
-                (0..n_tasks)
-                    .into_par_iter()
-                    .with_min_len(4)
-                    .fold(&make, |mut s, i| {
-                        task(i, &mut s);
-                        s
-                    })
-                    .collect()
-            };
-            if cfg.threads > 0 {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(cfg.threads)
-                    .build()
-                    .expect("rayon pool")
-                    .install(body)
-            } else {
-                body()
-            }
-        }
     }
 }
 
@@ -527,22 +431,23 @@ mod tests {
         )
     }
 
-    /// Exhaustive serial reference using the dense-table construction.
-    fn reference_best(g: &GenotypeMatrix, p: &Phenotype) -> Candidate {
+    /// Exhaustive serial top-`k` reference using the dense-table
+    /// construction, in rank order on one thread.
+    fn reference_top(g: &GenotypeMatrix, p: &Phenotype, k: usize) -> Vec<Candidate> {
         let scorer = K2Scorer::new(p.len());
-        let mut top = TopK::new(1);
+        let mut top = TopK::new(k);
         for t in combin::TripleIter::new(g.num_snps()) {
             let table =
                 ContingencyTable::from_dense(g, p, (t.0 as usize, t.1 as usize, t.2 as usize));
             top.push(scorer.score(&table), t);
         }
-        top.best().unwrap()
+        top.into_sorted()
     }
 
     #[test]
     fn all_versions_find_the_same_best_triple() {
         let (g, p) = dataset(14, 130, 99);
-        let want = reference_best(&g, &p);
+        let want = reference_top(&g, &p, 1)[0];
         for version in Version::ALL {
             let cfg = ScanConfig::new(version);
             let res = scan(&g, &p, &cfg);
@@ -555,24 +460,19 @@ mod tests {
 
     #[test]
     fn all_schedulers_agree() {
+        // The run-aware pool, the one scheduler, reproduces the serial
+        // rank-order enumeration's top-K.
         let (g, p) = dataset(12, 100, 7);
+        let want = reference_top(&g, &p, 5);
         for version in [Version::V4, Version::V5] {
-            let mut reference: Option<Vec<Candidate>> = None;
-            for sched in [
-                Scheduler::Pool,
-                Scheduler::PoolChunk1,
-                Scheduler::Rayon,
-                Scheduler::Static,
-            ] {
-                let mut cfg = ScanConfig::new(version);
-                cfg.scheduler = sched;
-                cfg.top_k = 5;
-                cfg.threads = 3;
-                let res = scan(&g, &p, &cfg);
-                match &reference {
-                    None => reference = Some(res.top),
-                    Some(want) => assert_eq!(&res.top, want, "{version} {sched:?}"),
-                }
+            let mut cfg = ScanConfig::new(version);
+            cfg.top_k = 5;
+            cfg.threads = 3;
+            let res = scan(&g, &p, &cfg);
+            assert_eq!(res.top.len(), want.len(), "{version}");
+            for (got, want) in res.top.iter().zip(&want) {
+                assert_eq!(got.triple, want.triple, "{version}");
+                assert!((got.score - want.score).abs() < 1e-9, "{version}");
             }
         }
     }
@@ -581,8 +481,7 @@ mod tests {
     fn run_aware_scheduler_keeps_the_cross_pair_cache_hot() {
         // The whole point of run-aware claiming: at any worker count the
         // pool-wide V5 cross-pair hit rate stays at the sequential level
-        // (misses bounded by the claim count), while chunk-1 claiming
-        // may scatter a (b0, b1) run over every worker.
+        // (misses bounded by the claim count).
         let (g, p) = dataset(14, 120, 31);
         let ds = SplitDataset::encode(&g, &p);
         let mut cfg = ScanConfig::new(Version::V5);
@@ -607,17 +506,30 @@ mod tests {
             );
         }
 
-        // the chunk-1 baseline at the same worker count does strictly
-        // worse on misses (that's why it's the baseline)
-        cfg.scheduler = Scheduler::PoolChunk1;
-        let (res, chunk1) = scan_split_with_workers(&ds, &cfg, 3);
-        assert_eq!(res.top, ref_res.top);
-        let chunk1 = chunk1.unwrap();
-        assert_eq!(chunk1.hits() + chunk1.misses(), total);
-        assert!(
-            chunk1.misses() >= ref_stats.misses(),
-            "{chunk1:?} vs {ref_stats:?}"
-        );
+        // The locality gate at >= 4 workers, on a 24-SNP panel at
+        // B_S = 5 whose cache fits the fixed 4 MiB floor: the
+        // worker-aware budget only widens from the floor, so the cache is
+        // admitted at every worker count on every host geometry and the
+        // rates below are structural, not timing-based.
+        let (g, p) = dataset(24, 6144, 47);
+        let ds = SplitDataset::encode(&g, &p);
+        let params = BlockParams { bs: 5, bp: 64 };
+        let class_words = ds.controls().num_words() + ds.cases().num_words();
+        assert!(params.cross_pair_cache_enabled(class_words, crate::block::CROSS_PAIR_CACHE_BUDGET));
+        cfg.block = Some(params);
+        let (res1, one) = scan_split_with_workers(&ds, &cfg, 1);
+        let one = one.unwrap().hit_rate();
+        // a disabled cache would pass the ratio vacuously at 0.0 == 0.0
+        assert!(one > 0.3, "cross-pair cache never engaged: {one}");
+        for workers in [4usize, 8] {
+            let (res, stats) = scan_split_with_workers(&ds, &cfg, workers);
+            assert_eq!(res.top, res1.top, "workers={workers}");
+            let rate = stats.unwrap().hit_rate();
+            assert!(
+                rate >= 0.8 * one,
+                "workers={workers}: run-aware locality collapsed, {one} -> {rate}"
+            );
+        }
     }
 
     #[test]
@@ -626,7 +538,7 @@ mod tests {
         let ds = SplitDataset::encode(&g, &p);
         for version in [Version::V2, Version::V4] {
             let cfg = ScanConfig::new(version);
-            let (_, stats) = scan_split_stats(&ds, &cfg);
+            let (_, stats) = scan_split_with_workers(&ds, &cfg, pool::resolve_threads(cfg.threads));
             assert!(stats.is_none(), "{version}");
         }
     }

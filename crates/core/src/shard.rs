@@ -414,7 +414,7 @@ pub fn scan_shard_split_cached(
 /// Run a full scan as `s` shards drained by the dynamic worker pool and
 /// merge the results. Produces candidates bit-identical to
 /// [`crate::scan::scan`] with the same configuration; used by the CLI's
-/// `shards` subcommand and the sharding-overhead benchmarks.
+/// `shards` subcommand.
 pub fn scan_sharded(
     genotypes: &GenotypeMatrix,
     phenotype: &Phenotype,
@@ -424,22 +424,12 @@ pub fn scan_sharded(
     scan_sharded_inner(genotypes, phenotype, cfg, s, None).0
 }
 
-/// [`scan_sharded`] that also returns the aggregated per-worker
-/// [`PairPrefixCache`] statistics — hits and misses summed across the
-/// whole pool (and min/max-able per worker), not just worker 0's, so
-/// hit-rate gates judge what every worker saw.
-pub fn scan_sharded_stats(
-    genotypes: &GenotypeMatrix,
-    phenotype: &Phenotype,
-    cfg: &ScanConfig,
-    s: u64,
-) -> (crate::scan::ScanResult, crate::pool::PoolCacheStats) {
-    scan_sharded_inner(genotypes, phenotype, cfg, s, None)
-}
-
-/// [`scan_sharded_stats`] at an **exact** worker count (no host clamp):
-/// the scheduler-locality benchmark oversubscribes deliberately. Results
-/// are bit-identical at any worker count.
+/// [`scan_sharded`] at an **exact** worker count (no host clamp), that
+/// also returns the aggregated per-worker [`PairPrefixCache`]
+/// statistics — hits and misses summed across the whole pool (and
+/// min/max-able per worker), not just worker 0's, so hit-rate gates
+/// judge what every worker saw. Results are bit-identical at any worker
+/// count.
 pub fn scan_sharded_with_workers(
     genotypes: &GenotypeMatrix,
     phenotype: &Phenotype,
@@ -459,7 +449,6 @@ fn scan_sharded_inner(
 ) -> (crate::scan::ScanResult, crate::pool::PoolCacheStats) {
     use crate::combin;
     use crate::pool;
-    use crate::scan::Scheduler;
     use std::time::Instant;
 
     let m = genotypes.num_snps();
@@ -499,9 +488,7 @@ fn scan_sharded_inner(
     // worker's PairPrefixCache misses once per (a, b) prefix run inside
     // the span instead of once per prefix per shard. All shards form one
     // "run"; plan_claims tail-splits it into per-worker contiguous
-    // chunks. The chunk-1 baseline claims shard-by-shard, scattering
-    // consecutive shards (and their shared boundary prefixes) across the
-    // pool.
+    // chunks.
     let make = || {
         (
             TopK::new(cfg.top_k),
@@ -512,10 +499,7 @@ fn scan_sharded_inner(
         top.merge(scan_one(plan.range(i as u64), cache));
     };
     let start = Instant::now();
-    let states = match cfg.scheduler {
-        Scheduler::Pool => pool::run_claims(&pool::plan_claims(&[n_shards], w), w, make, task),
-        _ => pool::run_unit_claims(n_shards, w, make, task),
-    };
+    let states = pool::run_claims(&pool::plan_claims(&[n_shards], w), w, make, task);
     let elapsed = start.elapsed();
     let mut merged = TopK::new(cfg.top_k);
     let mut stats = crate::pool::PoolCacheStats::default();
@@ -877,7 +861,6 @@ mod tests {
 
     #[test]
     fn sharded_stats_aggregate_the_whole_pool_and_runs_stay_warm() {
-        use crate::scan::Scheduler;
         let (g, p) = dataset(16, 100, 99);
         let mut cfg = ScanConfig::new(Version::V5);
         cfg.top_k = 4;
@@ -908,15 +891,10 @@ mod tests {
             assert!(stats.min_hit_rate() <= stats.max_hit_rate());
         }
 
-        // the chunk-1 baseline can only do worse on misses
-        cfg.scheduler = Scheduler::PoolChunk1;
-        let (res, chunk1) = scan_sharded_with_workers(&g, &p, &cfg, 24, 3);
-        assert_eq!(res.top, res1.top);
-        assert!(chunk1.misses() >= stats1.misses(), "{chunk1:?}");
-
         // V1 has no pair cache: zero stats, result still right
         let cfg1 = ScanConfig::new(Version::V1);
-        let (_, v1_stats) = scan_sharded_stats(&g, &p, &cfg1, 8);
+        let workers = crate::pool::resolve_threads(cfg1.threads);
+        let (_, v1_stats) = scan_sharded_with_workers(&g, &p, &cfg1, 8, workers);
         assert_eq!(v1_stats.hits() + v1_stats.misses(), 0);
     }
 

@@ -91,26 +91,30 @@ fn partition_tiles_the_plan_exactly() {
 #[test]
 fn two_node_federation_merges_bit_identical_to_monolithic() {
     let path = write_dataset("twonode", 24, 256, 5);
-    let (addrs, handles) = spawn_fleet(&[2, 2]);
-    let mut spec = JobSpec::new(path.to_str().unwrap());
-    spec.shards = 16;
-    spec.top_k = 8;
+    let want = monolithic(&path, 8);
+    // two 2-worker nodes, then four 1-worker nodes
+    for fleet in [&[2usize, 2][..], &[1, 1, 1, 1]] {
+        let (addrs, handles) = spawn_fleet(fleet);
+        let mut spec = JobSpec::new(path.to_str().unwrap());
+        spec.shards = 16;
+        spec.top_k = 8;
 
-    let report = federate(&spec, &test_config(&addrs)).expect("federation");
-    assert_bit_identical(&report.top, &monolithic(&path, 8));
-    assert_eq!(report.num_shards, 16);
-    assert!(report.dead_nodes.is_empty());
-    // both nodes contributed, and every shard is attributed exactly once
-    let contributed: u64 = report.per_node_shards.iter().map(|(_, n)| n).sum();
-    assert_eq!(contributed, 16);
-    assert!(
-        report.per_node_shards.iter().all(|(_, n)| *n > 0),
-        "both nodes should do work: {:?}",
-        report.per_node_shards
-    );
+        let report = federate(&spec, &test_config(&addrs)).expect("federation");
+        assert_bit_identical(&report.top, &want);
+        assert_eq!(report.num_shards, 16);
+        assert!(report.dead_nodes.is_empty());
+        // every node contributed, and every shard is attributed exactly once
+        let contributed: u64 = report.per_node_shards.iter().map(|(_, n)| n).sum();
+        assert_eq!(contributed, 16);
+        assert!(
+            report.per_node_shards.iter().all(|(_, n)| *n > 0),
+            "every node should do work: {:?}",
+            report.per_node_shards
+        );
 
-    for h in handles {
-        h.shutdown();
+        for h in handles {
+            h.shutdown();
+        }
     }
 }
 

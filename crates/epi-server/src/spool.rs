@@ -87,12 +87,17 @@ pub enum SpoolSchedule {
     /// Explicit per-op script; ops past the end run clean.
     Scripted(Vec<Option<SpoolFault>>),
     /// Pseudorandom schedule derived from the seed: roughly one op in
-    /// four faults, kind mixed by the same splitmix64 spin as
-    /// `epi_coord::chaos`, so CI can replay a failure from its seed.
+    /// four faults, kind mixed by [`seeded_draw`], so CI can replay a
+    /// failure from its seed.
     Seeded(u64),
 }
 
-fn splitmix64(x: u64) -> u64 {
+/// Draw `index` of a seeded fault schedule: SplitMix64 — tiny,
+/// seedable, and good enough to decorrelate consecutive indices — over
+/// `seed · 0x9E3779B1 + index`. The one mixer behind both
+/// [`SpoolSchedule::Seeded`] and `epi_coord`'s TCP chaos schedule.
+pub fn seeded_draw(seed: u64, index: u64) -> u64 {
+    let x = seed.wrapping_mul(0x9E37_79B1).wrapping_add(index);
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -105,7 +110,7 @@ impl SpoolSchedule {
         match self {
             SpoolSchedule::Scripted(script) => script.get(index as usize).copied().flatten(),
             SpoolSchedule::Seeded(seed) => {
-                let r = splitmix64(seed.wrapping_mul(0x9E37_79B1).wrapping_add(index));
+                let r = seeded_draw(*seed, index);
                 if !r.is_multiple_of(4) {
                     return None;
                 }

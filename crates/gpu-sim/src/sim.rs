@@ -12,8 +12,8 @@ use bitgenome::layout::{RowMajorPlanes, TiledPlanes, TransposedPlanes};
 use bitgenome::{GenotypeMatrix, Phenotype, SplitDataset, UnsplitDataset};
 use epi_core::combin;
 use epi_core::k2::{K2Scorer, Objective};
+use epi_core::pool;
 use epi_core::result::{Candidate, TopK, Triple};
-use rayon::prelude::*;
 
 /// The four GPU approaches of §IV-B.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -185,8 +185,9 @@ impl GpuScan {
     }
 
     /// Run the full scan functionally. Logical GPU threads are evaluated
-    /// on host cores (Rayon); each keeps a private table and best score,
-    /// with the "host-side" final reduction of §IV-B at the end.
+    /// on host cores (`epi_core::pool`); each keeps a private table and
+    /// best score, with the "host-side" final reduction of §IV-B at the
+    /// end.
     pub fn run(&self, cfg: &GpuScanConfig) -> GpuScanResult {
         let triples: Vec<Triple> = combin::TripleIter::new(self.m).collect();
         let merged = self.run_subset(cfg, &triples);
@@ -202,23 +203,23 @@ impl GpuScan {
     /// co-execution, where the GPU takes a slice of the space).
     pub fn run_subset(&self, cfg: &GpuScanConfig, triples: &[Triple]) -> TopK {
         let scorer = K2Scorer::new(self.n);
-        triples
-            .par_iter()
-            .fold(
-                || TopK::new(cfg.top_k),
-                |mut top, &t| {
-                    let table = self.thread_table(t);
-                    top.push(scorer.score(&table), t);
-                    top
-                },
-            )
-            .reduce(
-                || TopK::new(cfg.top_k),
-                |mut a, b| {
-                    a.merge(b);
-                    a
-                },
-            )
+        // one run over the whole slice: plan_claims cuts it into
+        // contiguous balance-capped claims
+        let workers = pool::resolve_threads(0);
+        let states = pool::run_claims(
+            &pool::plan_claims(&[triples.len()], workers),
+            workers,
+            || TopK::new(cfg.top_k),
+            |i, top| {
+                let t = triples[i];
+                top.push(scorer.score(&self.thread_table(t)), t);
+            },
+        );
+        let mut merged = TopK::new(cfg.top_k);
+        for top in states {
+            merged.merge(top);
+        }
+        merged
     }
 }
 

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use epi_coord::{
         federate, resume_from_spool, ChaosProxy, ChaosSchedule, FederationConfig, FederationReport,
     };
-    pub use epi_core::scan::{scan, ObjectiveKind, ScanConfig, ScanResult, Scheduler, Version};
+    pub use epi_core::scan::{scan, ObjectiveKind, ScanConfig, ScanResult, Version};
     pub use epi_core::shard::{scan_shard, scan_sharded, ShardPlan, ShardSet};
     pub use epi_core::{BlockParams, Candidate, Triple};
     pub use epi_server::{Client, EngineConfig, JobSpec, JobState, Server};
