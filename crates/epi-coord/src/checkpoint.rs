@@ -1,27 +1,27 @@
-//! Durable coordinator state: the `FederationCheckpoint` codec and its
-//! torn-write-safe spool.
+//! Durable coordinator state: the `FederationCheckpoint` codec.
 //!
 //! After every merge batch the coordinator spools what it would lose in
 //! a crash: the pinned sub-job spec, the set of globally merged shards,
 //! the live per-node assignments, per-node merge attribution, and the
-//! harvested top-K (scores in the same exact `f64::to_bits` hex codec
-//! as the wire protocol and the server-side job checkpoint, so a resume
-//! is bit-identical — not approximately equal). `epi3 federate --resume
-//! <spool>` rebuilds a `Run` from this: merged shards are never
-//! rescanned, still-running sub-jobs are adopted by job id, and only
-//! the genuinely unfinished remainder is resubmitted.
+//! harvested top-K (scores in the exact `f64::to_bits` hex candidate
+//! codec of [`epi_server::record`], shared with the wire protocol and
+//! the server-side job checkpoint, so a resume is bit-identical — not
+//! approximately equal). `epi3 federate --resume <spool>` rebuilds a
+//! `Run` from this: merged shards are never rescanned, still-running
+//! sub-jobs are adopted by job id, and only the genuinely unfinished
+//! remainder is resubmitted.
 //!
-//! The spool is written tmp → rotate last-good to `.prev` → rename, so
-//! a coordinator killed *mid-write* leaves either a complete new
-//! checkpoint or the complete previous one — loading falls back to
-//! `.prev` when the primary is torn — and a trailing `end` sentinel
-//! makes truncation detectable rather than silently loading a prefix.
+//! The file is framed and spooled by [`epi_server::record`]: a trailing
+//! `end` sentinel makes truncation detectable, and the verified
+//! rotation (tmp, read back, rotate last-good to `.prev`, rename) means
+//! that under any sequence of disk faults loading returns the last
+//! checkpoint whose save succeeded.
 
 use epi_core::result::Candidate;
 use epi_core::shard::ShardSet;
+use epi_server::record::{self, CandToken};
 use epi_server::JobSpec;
-use std::io::{BufRead, Write};
-use std::path::{Path, PathBuf};
+use std::fmt::Write as _;
 
 const MAGIC: &str = "epi3fedckpt v1";
 
@@ -69,63 +69,39 @@ fn parse_set(tok: &str) -> Result<ShardSet, String> {
 }
 
 impl FederationCheckpoint {
-    /// Serialize to a writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> std::io::Result<()> {
-        writeln!(w, "{MAGIC}")?;
-        writeln!(w, "spec {}", self.spec.to_tokens())?;
-        writeln!(w, "merged {}", set_token(&self.merged))?;
-        for (addr, n) in &self.node_merged {
-            writeln!(w, "node {} {n}", epi_server::escape(addr))?;
-        }
-        for a in &self.assignments {
-            writeln!(
-                w,
-                "assign {} {} {} {}",
-                epi_server::escape(&a.node),
-                a.job_id,
-                set_token(&a.owned),
-                set_token(&a.done),
-            )?;
-        }
-        for c in &self.top {
-            writeln!(
-                w,
-                "cand {} {} {} {:016x}",
-                c.triple.0,
-                c.triple.1,
-                c.triple.2,
-                c.score.to_bits()
-            )?;
-        }
-        writeln!(w, "end")
+    /// Serialize to the on-disk bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        record::encode(MAGIC, |w| {
+            writeln!(w, "spec {}", self.spec.to_tokens())?;
+            writeln!(w, "merged {}", set_token(&self.merged))?;
+            for (addr, n) in &self.node_merged {
+                writeln!(w, "node {} {n}", epi_server::escape(addr))?;
+            }
+            for a in &self.assignments {
+                writeln!(
+                    w,
+                    "assign {} {} {} {}",
+                    epi_server::escape(&a.node),
+                    a.job_id,
+                    set_token(&a.owned),
+                    set_token(&a.done),
+                )?;
+            }
+            for c in &self.top {
+                writeln!(w, "cand {}", CandToken(c))?;
+            }
+            Ok(())
+        })
     }
 
-    /// Parse from a reader (inverse of [`FederationCheckpoint::write_to`]).
-    pub fn read_from<R: BufRead>(r: R) -> Result<Self, String> {
-        let mut lines = r.lines();
-        let magic = lines
-            .next()
-            .ok_or("empty checkpoint")?
-            .map_err(|e| format!("read checkpoint: {e}"))?;
-        if magic.trim_end() != MAGIC {
-            return Err(format!("bad checkpoint magic {magic:?}"));
-        }
+    /// Parse the on-disk bytes (inverse of [`FederationCheckpoint::encode`]).
+    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
         let mut spec: Option<JobSpec> = None;
         let mut merged: Option<ShardSet> = None;
         let mut node_merged = Vec::new();
         let mut assignments = Vec::new();
         let mut top = Vec::new();
-        let mut complete = false;
-        for line in lines {
-            let line = line.map_err(|e| format!("read checkpoint: {e}"))?;
-            let line = line.trim_end();
-            if line == "end" {
-                complete = true;
-                break;
-            }
-            let (kind, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed checkpoint line {line:?}"))?;
+        for (kind, rest) in record::read_records(bytes, MAGIC)? {
             match kind {
                 "spec" => {
                     let tokens: Vec<&str> = rest.split_whitespace().collect();
@@ -134,24 +110,17 @@ impl FederationCheckpoint {
                 "merged" => merged = Some(parse_set(rest)?),
                 "node" => {
                     let mut parts = rest.split_whitespace();
-                    let addr =
-                        epi_server::unescape(parts.next().ok_or("node line: missing addr")?)?;
-                    let n: u64 = parts
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or("node line: bad count")?;
-                    node_merged.push((addr, n));
+                    let addr = parts.next().ok_or("node line: missing addr")?;
+                    let count = record::field(parts.next(), "node merge count")?;
+                    node_merged.push((epi_server::unescape(addr)?, count));
                 }
                 "assign" => {
                     let mut parts = rest.split_whitespace();
-                    let node =
-                        epi_server::unescape(parts.next().ok_or("assign line: missing addr")?)?;
-                    let job_id: u64 = parts
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or("assign line: bad job id")?;
-                    let owned = parse_set(parts.next().ok_or("assign line: missing owned")?)?;
-                    let done = parse_set(parts.next().ok_or("assign line: missing done")?)?;
+                    let mut next = || parts.next().ok_or("assign line: missing field");
+                    let node = epi_server::unescape(next()?)?;
+                    let job_id = record::field(Some(next()?), "assign job id")?;
+                    let owned = parse_set(next()?)?;
+                    let done = parse_set(next()?)?;
                     assignments.push(CheckpointAssignment {
                         node,
                         job_id,
@@ -159,29 +128,9 @@ impl FederationCheckpoint {
                         done,
                     });
                 }
-                "cand" => {
-                    let mut parts = rest.split_whitespace();
-                    let mut num = |what: &str| -> Result<u64, String> {
-                        parts
-                            .next()
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| format!("cand line: bad {what}"))
-                    };
-                    let (a, b, c) = (num("i0")?, num("i1")?, num("i2")?);
-                    let bits = parts
-                        .next()
-                        .and_then(|t| u64::from_str_radix(t, 16).ok())
-                        .ok_or("cand line: bad score bits")?;
-                    top.push(Candidate {
-                        score: f64::from_bits(bits),
-                        triple: (a as u32, b as u32, c as u32),
-                    });
-                }
+                "cand" => top.push(record::parse_candidate(rest)?),
                 other => return Err(format!("unknown checkpoint line kind {other:?}")),
             }
-        }
-        if !complete {
-            return Err("truncated checkpoint: missing end sentinel".into());
         }
         Ok(Self {
             spec: spec.ok_or("checkpoint missing spec line")?,
@@ -191,65 +140,12 @@ impl FederationCheckpoint {
             top,
         })
     }
-
-    /// Spool to `path` torn-write-safely: write `<path>.tmp`, rotate the
-    /// previous checkpoint (if any) to `<path>.prev`, then rename the
-    /// tmp into place. At every instant the disk holds at least one
-    /// complete checkpoint.
-    pub fn save(&self, path: &Path) -> Result<(), String> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("create spool dir {}: {e}", dir.display()))?;
-            }
-        }
-        let tmp = tmp_path(path);
-        let write = || -> std::io::Result<()> {
-            let mut f = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.write_to(&mut f)?;
-            f.flush()
-        };
-        write().map_err(|e| format!("write spool {}: {e}", tmp.display()))?;
-        if path.exists() {
-            std::fs::rename(path, prev_path(path))
-                .map_err(|e| format!("rotate spool {}: {e}", path.display()))?;
-        }
-        std::fs::rename(&tmp, path).map_err(|e| format!("commit spool {}: {e}", path.display()))
-    }
-
-    /// Load from `path`, falling back to `<path>.prev` when the primary
-    /// is missing or torn (a crash mid-write leaves exactly that shape).
-    pub fn load(path: &Path) -> Result<Self, String> {
-        let read = |p: &Path| -> Result<Self, String> {
-            let f =
-                std::fs::File::open(p).map_err(|e| format!("open spool {}: {e}", p.display()))?;
-            Self::read_from(std::io::BufReader::new(f))
-        };
-        match read(path) {
-            Ok(ck) => Ok(ck),
-            Err(primary_err) => match read(&prev_path(path)) {
-                Ok(ck) => Ok(ck),
-                Err(_) => Err(primary_err),
-            },
-        }
-    }
-}
-
-fn tmp_path(path: &Path) -> PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(".tmp");
-    PathBuf::from(p)
-}
-
-fn prev_path(path: &Path) -> PathBuf {
-    let mut p = path.as_os_str().to_owned();
-    p.push(".prev");
-    PathBuf::from(p)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use epi_server::RealSpoolFs;
 
     fn sample() -> FederationCheckpoint {
         let mut spec = JobSpec::new("/data/with space/x.epi3");
@@ -288,9 +184,7 @@ mod tests {
     }
 
     fn roundtrip(ck: &FederationCheckpoint) -> FederationCheckpoint {
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        FederationCheckpoint::read_from(buf.as_slice()).unwrap()
+        FederationCheckpoint::decode(&ck.encode()).unwrap()
     }
 
     fn assert_bit_identical(a: &FederationCheckpoint, b: &FederationCheckpoint) {
@@ -308,6 +202,24 @@ mod tests {
                 x.triple
             );
         }
+    }
+
+    #[test]
+    fn encodes_the_v1_bytes() {
+        // golden bytes: spools written before the shared record layer
+        // must keep resuming, so the encoding may not drift
+        let want = "epi3fedckpt v1\n\
+            spec path=/data/with%20space/x.epi3 version=v5 shards=16 top=8 \
+            dataset_hash=deadbeef01234567\n\
+            merged 0-2,5,9\n\
+            node 127.0.0.1:7001 3\n\
+            node 127.0.0.1:7002 2\n\
+            assign 127.0.0.1:7001 4 0-7 0-2,5\n\
+            assign 127.0.0.1:7002 2 8-15 9\n\
+            cand 2 7 11 4029000000000000\n\
+            cand 0 1 2 402a800000000000\n\
+            end\n";
+        assert_eq!(String::from_utf8(sample().encode()).unwrap(), want);
     }
 
     #[test]
@@ -360,18 +272,15 @@ mod tests {
 
     #[test]
     fn truncation_is_a_clean_error() {
-        let ck = sample();
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = String::from_utf8(sample().encode()).unwrap();
         // cut anywhere before the end sentinel: clean error, never a
         // silently shorter checkpoint
         for cut in [text.len() - 5, text.len() / 2, MAGIC.len() + 1] {
-            let err = FederationCheckpoint::read_from(&text.as_bytes()[..cut]);
+            let err = FederationCheckpoint::decode(&text.as_bytes()[..cut]);
             assert!(err.is_err(), "cut at {cut} should fail");
         }
-        assert!(FederationCheckpoint::read_from("not a checkpoint\n".as_bytes()).is_err());
-        assert!(FederationCheckpoint::read_from("".as_bytes()).is_err());
+        assert!(FederationCheckpoint::decode(b"not a checkpoint\n").is_err());
+        assert!(FederationCheckpoint::decode(b"").is_err());
     }
 
     #[test]
@@ -379,29 +288,29 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("epi_fedckpt_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let path = dir.join("federation.ckpt");
+        let fs = RealSpoolFs;
+        let load = || record::load(&fs, &path, FederationCheckpoint::decode);
 
         let mut first = sample();
         first.merged = ShardSet::from_indices([0, 1]);
-        first.save(&path).unwrap();
-        assert_bit_identical(&FederationCheckpoint::load(&path).unwrap(), &first);
+        record::save(&fs, &path, &first.encode()).unwrap();
+        assert_bit_identical(&load().unwrap(), &first);
 
         let mut second = sample();
         second.merged = ShardSet::from_indices([0, 1, 2, 3]);
-        second.save(&path).unwrap();
-        assert_bit_identical(&FederationCheckpoint::load(&path).unwrap(), &second);
+        record::save(&fs, &path, &second.encode()).unwrap();
+        assert_bit_identical(&load().unwrap(), &second);
 
         // simulate a crash mid-write of a third checkpoint: the primary
         // is torn, the rotated .prev still holds the last good state
-        let mut torn = Vec::new();
-        second.write_to(&mut torn).unwrap();
+        let torn = second.encode();
         let torn = &torn[..torn.len() - 7]; // lose the end sentinel
         std::fs::write(&path, torn).unwrap();
-        let recovered = FederationCheckpoint::load(&path).unwrap();
-        assert_bit_identical(&recovered, &first); // .prev = the first save
+        assert_bit_identical(&load().unwrap(), &first); // .prev = the first save
 
         // with both torn, the error reports the primary's problem
-        std::fs::write(prev_path(&path), b"garbage\n").unwrap();
-        let err = FederationCheckpoint::load(&path).unwrap_err();
+        std::fs::write(record::rotation_paths(&path).1, b"garbage\n").unwrap();
+        let err = load().unwrap_err();
         assert!(err.contains("truncated"), "unhelpful error: {err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

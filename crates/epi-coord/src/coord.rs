@@ -20,8 +20,9 @@ use crate::checkpoint::{CheckpointAssignment, FederationCheckpoint};
 use crate::node::{is_transport_error, NodeHandle};
 use epi_core::result::{Candidate, TopK};
 use epi_core::shard::ShardSet;
-use epi_server::{JobSpec, JobState};
+use epi_server::{record, JobSpec, JobState, RealSpoolFs, SpoolFs};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Knobs of a federation run. `FederationConfig::new(nodes)` gives
@@ -53,13 +54,13 @@ pub struct FederationConfig {
     pub probe_cap: Duration,
     /// Hard wall-clock bound on the whole federated scan.
     pub overall_deadline: Duration,
-    /// Pin the dataset content hash (computed from the coordinator's
-    /// local copy when the spec doesn't carry one) into every sub-job,
-    /// so nodes with diverged replicas are rejected at SUBMIT.
-    pub verify_dataset: bool,
     /// Where to spool [`FederationCheckpoint`]s (after every merge
     /// batch); `None` disables checkpointing.
     pub spool_path: Option<PathBuf>,
+    /// Spool I/O layer; `None` = the real filesystem. Tests inject
+    /// [`epi_server::FaultySpoolFs`] here to prove coordinator disk
+    /// faults never cost a resumable checkpoint.
+    pub spool_fs: Option<Arc<dyn SpoolFs>>,
     /// Fault injection (tests only): abort the coordinator once this
     /// many shards merged — while the scan is still incomplete — as a
     /// stand-in for `kill -9` mid-run.
@@ -67,6 +68,11 @@ pub struct FederationConfig {
 }
 
 impl FederationConfig {
+    /// The spool I/O layer checkpoints go through.
+    fn fs(&self) -> &dyn SpoolFs {
+        self.spool_fs.as_deref().unwrap_or(&RealSpoolFs)
+    }
+
     pub fn new(nodes: Vec<String>) -> Self {
         Self {
             nodes,
@@ -79,8 +85,8 @@ impl FederationConfig {
             probe_floor: Duration::from_millis(50),
             probe_cap: Duration::from_secs(2),
             overall_deadline: Duration::from_secs(600),
-            verify_dataset: true,
             spool_path: None,
+            spool_fs: None,
             fail_after_merges: None,
         }
     }
@@ -277,7 +283,7 @@ pub fn federate(spec: &JobSpec, cfg: &FederationConfig) -> Result<FederationRepo
     // matches before any shard is assigned to it. Best-effort: when the
     // coordinator itself has no readable copy (data lives only on the
     // nodes), federation still runs — just without the integrity gate.
-    if cfg.verify_dataset && spec.dataset_hash.is_none() {
+    if spec.dataset_hash.is_none() {
         if let Ok((g, p)) = datagen::io::load(Path::new(&spec.path)) {
             spec.dataset_hash = Some(epi_core::integrity::dataset_hash(&g, &p));
         }
@@ -310,7 +316,7 @@ pub fn resume_from_spool(path: &Path, cfg: &FederationConfig) -> Result<Federati
     if cfg.nodes.is_empty() {
         return Err("federation needs at least one node".into());
     }
-    let ckpt = FederationCheckpoint::load(path)?;
+    let ckpt = record::load(cfg.fs(), path, FederationCheckpoint::decode)?;
     let num_shards = ckpt.spec.shards;
     let mut run = new_run(ckpt.spec, cfg);
     run.merged = ckpt.merged;
@@ -388,7 +394,7 @@ fn drive(mut run: Run<'_>) -> Result<FederationReport, String> {
         // spool BEFORE the crash check: the injected crash models a
         // coordinator that died after its last checkpoint write, which
         // is exactly what resume_from_spool must recover from
-        run.maybe_spool()?;
+        run.maybe_spool();
         if let Some(limit) = cfg.fail_after_merges {
             if run.merged.len() >= limit && run.merged.len() < num_shards {
                 return Err(format!(
@@ -542,14 +548,16 @@ impl Run<'_> {
     }
 
     /// Spool a [`FederationCheckpoint`] when the merged set advanced
-    /// since the last write. The spool rotates (`.prev` keeps the last
-    /// good copy), so a crash mid-write still leaves a loadable file.
-    fn maybe_spool(&mut self) -> Result<(), String> {
+    /// since the last successful write. A failed write (full disk, …)
+    /// only logs, like the engine's checkpoint writes: the verified
+    /// rotation keeps the last good copy loadable, `spooled` stays put,
+    /// and the next pass of the poll loop retries.
+    fn maybe_spool(&mut self) {
         let Some(path) = &self.cfg.spool_path else {
-            return Ok(());
+            return;
         };
         if self.merged.len() == self.spooled {
-            return Ok(());
+            return;
         }
         let ckpt = FederationCheckpoint {
             spec: self.spec.clone(),
@@ -574,9 +582,10 @@ impl Run<'_> {
                 .collect(),
             top: self.top.clone().into_sorted(),
         };
-        ckpt.save(path)?;
-        self.spooled = self.merged.len();
-        Ok(())
+        match record::save(self.cfg.fs(), path, &ckpt.encode()) {
+            Ok(()) => self.spooled = self.merged.len(),
+            Err(e) => eprintln!("epi-coord: checkpoint spool {} failed: {e}", path.display()),
+        }
     }
 
     /// Close an assignment whose node died or whose job failed: requeue

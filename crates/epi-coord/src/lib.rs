@@ -49,7 +49,8 @@
 //! * **Coordinator crashes.** With `FederationConfig::spool_path` set,
 //!   every merge batch spools a [`FederationCheckpoint`] (merged
 //!   shards, per-node assignments, harvested top-K with exact score
-//!   bits; torn-write-safe via tmp → `.prev` rotation).
+//!   bits) through `epi_server::record`'s verified tmp → `.prev`
+//!   rotation; a failed spool write is logged and retried, never fatal.
 //!   [`resume_from_spool`] rebuilds the run: merged shards are adopted
 //!   without rescanning, live sub-jobs re-attach by node address, and
 //!   the resumed result is bit-identical to an uninterrupted run.

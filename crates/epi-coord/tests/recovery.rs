@@ -12,14 +12,18 @@
 //!    results are never merged and the federation still finishes right;
 //! 4. a fleet behind seeded chaos proxies (drops, black-holes, delays,
 //!    truncations) still merges bit-identically — rerun any failure
-//!    with `EPI3_CHAOS_SEED=<n>`.
+//!    with `EPI3_CHAOS_SEED=<n>`;
+//! 5. a coordinator whose spool disk faults (ENOSPC, EIO, torn writes)
+//!    keeps scanning, and after a crash resumes from its last good
+//!    checkpoint bit-identically — rerun with `EPI3_SPOOL_SEED=<n>`.
 
 use epi_coord::{federate, resume_from_spool, ChaosProxy, ChaosSchedule, FederationConfig};
 use epi_core::result::Candidate;
 use epi_core::scan::{ScanConfig, Version};
-use epi_server::{Client, EngineConfig, JobSpec, Server, ServerHandle};
+use epi_server::{Client, EngineConfig, FaultySpoolFs, JobSpec, Server, ServerHandle};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn test_dir() -> PathBuf {
@@ -231,6 +235,58 @@ fn coordinator_killed_mid_scan_resumes_from_spool_bit_identically() {
     for h in handles {
         h.shutdown();
     }
+}
+
+/// Coordinator disk chaos: every spool write crosses a seeded fault
+/// schedule. A failed write must not fail the federated scan, and after
+/// an injected crash the last checkpoint that saved must resume, on the
+/// real filesystem, to the monolithic result bit for bit.
+#[test]
+fn seeded_coordinator_disk_chaos_resumes_bit_identically() {
+    let seed: u64 = std::env::var("EPI3_SPOOL_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(1);
+    let path = write_dataset("diskchaos", 24, 256, 37);
+    let (addrs, handles) = spawn_fleet(2);
+    let spool_dir = test_dir().join(format!("diskchaos-{seed}"));
+    let _ = std::fs::remove_dir_all(&spool_dir);
+    let spool = spool_dir.join("run.fedckpt");
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 16;
+    spec.top_k = 8;
+    spec.throttle_ms = 10; // shards land a few at a time: many merge batches
+
+    let faulty = Arc::new(FaultySpoolFs::seeded(seed));
+    let mut cfg = test_config(addrs_of(&addrs));
+    cfg.steal_patience = Duration::from_secs(30);
+    cfg.spool_path = Some(spool.clone());
+    cfg.spool_fs = Some(faulty.clone());
+    cfg.fail_after_merges = Some(12);
+
+    let err = federate(&spec, &cfg).expect_err("injected crash must fire");
+    assert!(
+        err.contains("injected coordinator crash"),
+        "seed {seed}: {err}"
+    );
+    assert!(
+        faulty.faults_injected() > 0,
+        "seed {seed}: schedule injected nothing"
+    );
+
+    let mut resume_cfg = cfg.clone();
+    resume_cfg.fail_after_merges = None;
+    resume_cfg.spool_fs = None;
+    let report = resume_from_spool(&spool, &resume_cfg)
+        .unwrap_or_else(|e| panic!("seed {seed}: no resumable checkpoint survived: {e}"));
+    assert_bit_identical(&report.top, &monolithic(&path, 8));
+    let contributed: u64 = report.per_node_shards.iter().map(|(_, n)| n).sum();
+    assert_eq!(contributed, 16, "seed {seed}: every shard attributed once");
+
+    for h in handles {
+        h.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&spool_dir);
 }
 
 /// Acceptance 3: one node's dataset replica is corrupt (same shape,

@@ -28,6 +28,7 @@ const HASH_ITER_SCOPE: &[&str] = &[
     "crates/core/src/shard.rs",
     "crates/core/src/kway.rs",
     "crates/epi-server/src/codec.rs",
+    "crates/epi-server/src/record.rs",
     "crates/epi-server/src/engine.rs",
     "crates/epi-coord/src/coord.rs",
     "crates/epi-coord/src/checkpoint.rs",
@@ -39,6 +40,7 @@ const HASH_ITER_SCOPE: &[&str] = &[
 const TIME_SCOPE_PREFIXES: &[&str] = &["crates/core/src/", "crates/bitgenome/src/"];
 const TIME_SCOPE_FILES: &[&str] = &[
     "crates/epi-server/src/codec.rs",
+    "crates/epi-server/src/record.rs",
     "crates/epi-server/src/engine.rs",
     "crates/epi-coord/src/checkpoint.rs",
 ];
@@ -46,6 +48,7 @@ const TIME_SCOPE_FILES: &[&str] = &[
 /// Codec/spec files where floats must travel as exact bits.
 const FLOAT_SCOPE: &[&str] = &[
     "crates/epi-server/src/codec.rs",
+    "crates/epi-server/src/record.rs",
     "crates/epi-server/src/spec.rs",
     "crates/epi-coord/src/checkpoint.rs",
 ];

@@ -5,7 +5,9 @@
 //! README wire-protocol table, and the `epi-server` crate docs. Spec
 //! `key=` fields likewise live in the parser, the emitter, and the
 //! README. Checkpoint record kinds live in an encoder and a decoder that
-//! must stay symmetric.
+//! must stay symmetric: the shared framing (`end` sentinel) in
+//! `record.rs`, and each format's own kinds in `codec.rs` (server job
+//! checkpoint) and `checkpoint.rs` (federation checkpoint).
 //!
 //! * `PROTO-VERB` — a verb dispatched, wrapped, or documented in one
 //!   place but not the others.
@@ -24,10 +26,18 @@ use std::collections::BTreeMap;
 /// Occurrence map: item → (file, 1-based line of first sighting).
 type Sites = BTreeMap<String, (String, usize)>;
 
+/// Files holding line-record encoders and decoders, each symmetric on
+/// its own.
+const RECORD_FILES: [&str; 3] = [
+    "epi-server/src/record.rs",
+    "epi-server/src/codec.rs",
+    "epi-coord/src/checkpoint.rs",
+];
+
 pub fn run(tree: &Tree, out: &mut Vec<Finding>) {
     verbs(tree, out);
     spec_keys(tree, out);
-    for suffix in ["epi-server/src/codec.rs", "epi-coord/src/checkpoint.rs"] {
+    for suffix in RECORD_FILES {
         if let Some(f) = tree.file(suffix) {
             record_symmetry(f, out);
         }

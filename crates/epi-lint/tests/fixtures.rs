@@ -131,7 +131,7 @@ pub fn accept_loop() {
 #[test]
 fn det_float_fmt_fires_on_decimal_format_and_parse() {
     let t = tree(&[(
-        "crates/epi-server/src/codec.rs",
+        "crates/epi-server/src/record.rs",
         r#"
 pub fn encode(mi: f64) -> String {
     format!("mi={:.6}", mi)
@@ -147,7 +147,7 @@ pub fn decode(s: &str) -> f64 {
 #[test]
 fn det_float_fmt_silent_in_bits_helpers() {
     let t = tree(&[(
-        "crates/epi-server/src/codec.rs",
+        "crates/epi-server/src/record.rs",
         r#"
 pub fn mi_to_bits_hex(mi: f64) -> String {
     format!("{:016x}", mi.to_bits())
@@ -554,7 +554,7 @@ fn proto_key_silent_when_parser_emitter_and_readme_agree() {
 #[test]
 fn proto_record_fires_on_write_without_parse() {
     let t = tree(&[(
-        "crates/epi-server/src/codec.rs",
+        "crates/epi-server/src/record.rs",
         r#"
 pub fn save(w: &mut impl Write, id: u32) {
     writeln!(w, "shard {id}").ok();
@@ -573,7 +573,7 @@ pub fn load(line: &str) -> Option<u32> {
 #[test]
 fn proto_record_silent_when_encoder_and_decoder_are_symmetric() {
     let t = tree(&[(
-        "crates/epi-server/src/codec.rs",
+        "crates/epi-server/src/record.rs",
         r#"
 pub fn save(w: &mut impl Write, id: u32) {
     writeln!(w, "shard {id}").ok();
@@ -591,6 +591,21 @@ pub fn load(line: &str) -> u32 {
 "#,
     )]);
     assert_eq!(count(&run(&t, "protocol"), "PROTO-RECORD"), 0);
+}
+
+#[test]
+fn proto_record_checks_every_record_file() {
+    const ASYMMETRIC: &str = r#"
+pub fn save(w: &mut impl Write, id: u32) {
+    writeln!(w, "done {id}").ok();
+}
+"#;
+    let t = tree(&[
+        ("crates/epi-server/src/record.rs", ASYMMETRIC),
+        ("crates/epi-server/src/codec.rs", ASYMMETRIC),
+        ("crates/epi-coord/src/checkpoint.rs", ASYMMETRIC),
+    ]);
+    assert_eq!(count(&run(&t, "protocol"), "PROTO-RECORD"), 3);
 }
 
 // ------------------------------------------------------------- panics

@@ -3,6 +3,7 @@
 
 use crate::frame::{FrameReader, FrameWriter};
 use crate::job::{JobState, JobStatus};
+use crate::record;
 use crate::server::MAX_REQUEST_LEN;
 use crate::spec::{unescape, JobSpec};
 use epi_core::result::Candidate;
@@ -174,6 +175,14 @@ impl Client {
         self.read_line()
     }
 
+    /// Consume the `END` line that closes a multi-line reply.
+    fn read_end(&mut self) -> Result<(), String> {
+        match self.read_line()? {
+            end if end == "END" => Ok(()),
+            other => Err(format!("expected END, got {other:?}")),
+        }
+    }
+
     fn read_line(&mut self) -> Result<String, String> {
         let mut line = String::new();
         // cap the reply line like the server caps request lines: a
@@ -266,15 +275,13 @@ impl Client {
         let header = self.send(&format!("RESULT {id}"))?;
         let fields = parse_kv(Self::expect_ok(&header)?)?;
         let count: usize = field(&fields, "count")?;
-        let mut out = Vec::with_capacity(count);
+        // grows only by lines actually read: `count` is the peer's word
+        let mut out = Vec::new();
         for _ in 0..count {
             let line = self.read_line()?;
             out.push(parse_candidate(&line)?);
         }
-        let end = self.read_line()?;
-        if end != "END" {
-            return Err(format!("expected END, got {end:?}"));
-        }
+        self.read_end()?;
         Ok(out)
     }
 
@@ -301,26 +308,23 @@ impl Client {
         let header = self.send(&format!("PARTIAL {id}"))?;
         let fields = parse_kv(Self::expect_ok(&header)?)?;
         let count: usize = field(&fields, "count")?;
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::new();
         for _ in 0..count {
             let line = self.read_line()?;
             let mut parts = line.split_whitespace();
             if parts.next() != Some("SHARD") {
                 return Err(format!("expected SHARD line, got {line:?}"));
             }
-            let shard: u64 = parse_num(parts.next(), "shard index")?;
-            let n: usize = parse_num(parts.next(), "candidate count")?;
-            let mut cands = Vec::with_capacity(n);
+            let shard: u64 = record::field(parts.next(), "shard index")?;
+            let n: usize = record::field(parts.next(), "candidate count")?;
+            let mut cands = Vec::new();
             for _ in 0..n {
                 let line = self.read_line()?;
                 cands.push(parse_candidate(&line)?);
             }
             out.push((shard, cands));
         }
-        let end = self.read_line()?;
-        if end != "END" {
-            return Err(format!("expected END, got {end:?}"));
-        }
+        self.read_end()?;
         Ok(out)
     }
 
@@ -329,7 +333,7 @@ impl Client {
         let header = self.send("JOBS")?;
         let fields = parse_kv(Self::expect_ok(&header)?)?;
         let count: usize = field(&fields, "count")?;
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::new();
         for _ in 0..count {
             let line = self.read_line()?;
             let rest = line
@@ -337,10 +341,7 @@ impl Client {
                 .ok_or_else(|| format!("expected JOB line, got {line:?}"))?;
             out.push(parse_status(rest)?);
         }
-        let end = self.read_line()?;
-        if end != "END" {
-            return Err(format!("expected END, got {end:?}"));
-        }
+        self.read_end()?;
         Ok(out)
     }
 
@@ -506,19 +507,10 @@ fn retry_backoff(err: &str, token: Option<&str>, attempt: u64) -> Duration {
 /// reconstructed bit-exactly from the hex field (any trailing display
 /// fields are ignored).
 fn parse_candidate(line: &str) -> Result<Candidate, String> {
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some("CAND") {
-        return Err(format!("expected CAND line, got {line:?}"));
-    }
-    let a: u32 = parse_num(parts.next(), "i0")?;
-    let b: u32 = parse_num(parts.next(), "i1")?;
-    let c: u32 = parse_num(parts.next(), "i2")?;
-    let bits = parts.next().ok_or("missing score bits")?;
-    let bits = u64::from_str_radix(bits, 16).map_err(|_| format!("bad score bits {bits:?}"))?;
-    Ok(Candidate {
-        score: f64::from_bits(bits),
-        triple: (a, b, c),
-    })
+    let fields = line
+        .strip_prefix("CAND ")
+        .ok_or_else(|| format!("expected CAND line, got {line:?}"))?;
+    record::parse_candidate(fields)
 }
 
 fn parse_kv(rest: &str) -> Result<Vec<(String, String)>, String> {
@@ -537,11 +529,6 @@ fn field<T: std::str::FromStr>(fields: &[(String, String)], key: &str) -> Result
         .find(|(k, _)| k == key)
         .and_then(|(_, v)| v.parse().ok())
         .ok_or_else(|| format!("missing or malformed field {key}"))
-}
-
-fn parse_num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, String> {
-    tok.and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("missing or malformed {what}"))
 }
 
 /// Parse a status reply's `key=value` fields.

@@ -1,10 +1,11 @@
 //! Checkpoint codec: a tiny std-only, line-oriented serialization of a
-//! job's spec and completed shard results.
+//! job's spec and completed shard results, framed and spooled by
+//! [`crate::record`].
 //!
-//! Scores are stored as the hex of `f64::to_bits`, so a resumed or
-//! transferred job reproduces results **bit-identically** — the ordering
-//! guarantees of `TopK` depend on exact score values, and a lossy decimal
-//! round-trip would break them.
+//! Scores are stored as the hex of `f64::to_bits` ([`record::CandToken`]),
+//! so a resumed or transferred job reproduces results
+//! **bit-identically** — the ordering guarantees of `TopK` depend on
+//! exact score values, and a lossy decimal round-trip would break them.
 //!
 //! Format (one record per line, space-separated, values `%`-escaped):
 //!
@@ -12,6 +13,7 @@
 //! epi3ckpt v1
 //! job <id>
 //! spec <key=value tokens...>
+//! snps <snp-count>
 //! shard <index> <candidate-count>
 //! cand <i0> <i1> <i2> <score-bits-hex>
 //! ...
@@ -19,10 +21,11 @@
 //! ```
 
 use crate::job::{Job, JobState};
+use crate::record::{self, CandToken};
 use crate::spec::JobSpec;
 use epi_core::result::Candidate;
 use epi_core::shard::ShardPlan;
-use std::io::{self, BufRead, Write};
+use std::fmt::Write as _;
 
 const MAGIC: &str = "epi3ckpt v1";
 
@@ -89,110 +92,79 @@ impl Checkpoint {
         job
     }
 
-    /// Serialize to a writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "{MAGIC}")?;
-        writeln!(w, "job {}", self.job_id)?;
-        writeln!(w, "spec {}", self.spec.to_tokens())?;
-        writeln!(w, "snps {}", self.snps)?;
-        for (idx, result) in self.shard_results.iter().enumerate() {
-            let Some(cands) = result else { continue };
-            writeln!(w, "shard {idx} {}", cands.len())?;
-            for c in cands {
-                writeln!(
-                    w,
-                    "cand {} {} {} {:016x}",
-                    c.triple.0,
-                    c.triple.1,
-                    c.triple.2,
-                    c.score.to_bits()
-                )?;
+    /// Serialize to the on-disk bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        record::encode(MAGIC, |w| {
+            writeln!(w, "job {}", self.job_id)?;
+            writeln!(w, "spec {}", self.spec.to_tokens())?;
+            writeln!(w, "snps {}", self.snps)?;
+            for (idx, result) in self.shard_results.iter().enumerate() {
+                let Some(cands) = result else { continue };
+                writeln!(w, "shard {idx} {}", cands.len())?;
+                for c in cands {
+                    writeln!(w, "cand {}", CandToken(c))?;
+                }
             }
-        }
-        writeln!(w, "end")
+            Ok(())
+        })
     }
 
-    /// Deserialize from a reader.
-    pub fn read_from<R: BufRead>(r: R) -> Result<Self, String> {
-        let mut lines = r.lines();
-        let mut next_line = || -> Result<String, String> {
-            lines
-                .next()
-                .ok_or("truncated checkpoint")?
-                .map_err(|e| format!("read error: {e}"))
-        };
-        if next_line()? != MAGIC {
-            return Err("not an epi3 v1 checkpoint".into());
+    /// Deserialize (inverse of [`Checkpoint::encode`]). Every buffer
+    /// grows only by records actually read, so a corrupt count can
+    /// neither overflow nor exhaust memory.
+    pub fn decode(bytes: &[u8]) -> Result<Self, String> {
+        let (mut job_id, mut spec, mut snps) = (None, None, None);
+        // (index, declared candidate count, candidates read)
+        let mut shards: Vec<(usize, usize, Vec<Candidate>)> = Vec::new();
+        for (kind, rest) in record::read_records(bytes, MAGIC)? {
+            match kind {
+                "job" => job_id = Some(record::field(Some(rest), "job id")?),
+                "spec" => {
+                    let tokens: Vec<&str> = rest.split_whitespace().collect();
+                    spec = Some(JobSpec::parse_tokens(&tokens)?);
+                }
+                "snps" => snps = Some(record::field(Some(rest), "snp count")?),
+                "shard" => {
+                    let mut f = rest.split_whitespace();
+                    let idx = record::field(f.next(), "shard index")?;
+                    let count = record::field(f.next(), "candidate count")?;
+                    shards.push((idx, count, Vec::new()));
+                }
+                "cand" => {
+                    let (_, count, cands) =
+                        shards.last_mut().ok_or("cand record before any shard")?;
+                    if cands.len() == *count {
+                        return Err("shard holds more candidates than it declares".into());
+                    }
+                    cands.push(record::parse_candidate(rest)?);
+                }
+                other => return Err(format!("unexpected record kind {other:?}")),
+            }
         }
-        let job_line = next_line()?;
-        let job_id = job_line
-            .strip_prefix("job ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad job line {job_line:?}"))?;
-        let spec_line = next_line()?;
-        let spec_tokens: Vec<&str> = spec_line
-            .strip_prefix("spec ")
-            .ok_or_else(|| format!("bad spec line {spec_line:?}"))?
-            .split_whitespace()
-            .collect();
-        let spec = JobSpec::parse_tokens(&spec_tokens)?;
-        let snps_line = next_line()?;
-        let snps = snps_line
-            .strip_prefix("snps ")
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad snps line {snps_line:?}"))?;
+        let spec: JobSpec = spec.ok_or("checkpoint missing spec record")?;
         let mut shard_results: Vec<Option<Vec<Candidate>>> =
             vec![None; usize::try_from(spec.shards).map_err(|_| "shard count overflow")?];
-        loop {
-            let line = next_line()?;
-            if line == "end" {
-                break;
+        for (idx, count, cands) in shards {
+            if cands.len() != count {
+                return Err(format!(
+                    "shard {idx} declares {count} candidates, holds {}",
+                    cands.len()
+                ));
             }
-            let mut parts = line.split_whitespace();
-            if parts.next() != Some("shard") {
-                return Err(format!("unexpected record {line:?}"));
-            }
-            let idx: usize = parse_field(parts.next(), "shard index")?;
-            let count: usize = parse_field(parts.next(), "candidate count")?;
-            if idx >= shard_results.len() {
-                return Err(format!("shard index {idx} out of range"));
-            }
-            let mut cands = Vec::with_capacity(count);
-            for _ in 0..count {
-                let cand_line = next_line()?;
-                let mut f = cand_line.split_whitespace();
-                if f.next() != Some("cand") {
-                    return Err(format!("expected cand record, got {cand_line:?}"));
-                }
-                let a: u32 = parse_field(f.next(), "i0")?;
-                let b: u32 = parse_field(f.next(), "i1")?;
-                let c: u32 = parse_field(f.next(), "i2")?;
-                let bits = f.next().ok_or("missing score bits")?;
-                let bits = u64::from_str_radix(bits, 16)
-                    .map_err(|_| format!("bad score bits {bits:?}"))?;
-                cands.push(Candidate {
-                    score: f64::from_bits(bits),
-                    triple: (a, b, c),
-                });
-            }
-            if shard_results[idx].is_some() {
+            let slot = shard_results
+                .get_mut(idx)
+                .ok_or_else(|| format!("shard index {idx} out of range"))?;
+            if slot.replace(cands).is_some() {
                 return Err(format!("duplicate shard record {idx}"));
             }
-            shard_results[idx] = Some(cands);
         }
         Ok(Self {
-            job_id,
+            job_id: job_id.ok_or("checkpoint missing job record")?,
             spec,
-            snps,
+            snps: snps.ok_or("checkpoint missing snps record")?,
             shard_results,
         })
     }
-}
-
-fn parse_field<T: std::str::FromStr>(field: Option<&str>, what: &str) -> Result<T, String> {
-    field
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("missing or malformed {what}"))
 }
 
 #[cfg(test)]
@@ -231,9 +203,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_bits() {
         let ck = sample_checkpoint();
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let back = Checkpoint::read_from(&buf[..]).unwrap();
+        let back = Checkpoint::decode(&ck.encode()).unwrap();
         assert_eq!(back, ck);
         let orig = ck.shard_results[0].as_ref().unwrap()[1].score;
         let restored = back.shard_results[0].as_ref().unwrap()[1].score;
@@ -274,9 +244,7 @@ mod tests {
             snps: 12,
             shard_results: vec![Some(cands)],
         };
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let back = Checkpoint::read_from(&buf[..]).unwrap();
+        let back = Checkpoint::decode(&ck.encode()).unwrap();
         let restored = back.shard_results[0].as_ref().unwrap();
         assert_eq!(restored.len(), scores.len());
         for (got, want) in restored.iter().zip(&scores) {
@@ -297,16 +265,41 @@ mod tests {
     }
 
     #[test]
+    fn encodes_the_v1_bytes() {
+        // golden bytes: spools written before the shared record layer
+        // must keep restoring, so the encoding may not drift
+        let want = "epi3ckpt v1\n\
+                    job 17\n\
+                    spec path=/tmp/some%20data.epi3 version=v2 shards=4 top=2\n\
+                    snps 30\n\
+                    shard 0 2\n\
+                    cand 0 1 2 bff8000000000000\n\
+                    cand 3 4 5 01c0d4cab14b6bbf\n\
+                    shard 2 0\n\
+                    end\n";
+        assert_eq!(
+            String::from_utf8(sample_checkpoint().encode()).unwrap(),
+            want
+        );
+    }
+
+    #[test]
     fn rejects_corruption() {
         let ck = sample_checkpoint();
-        let mut buf = Vec::new();
-        ck.write_to(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(Checkpoint::read_from("nope\n".as_bytes()).is_err());
+        let text = String::from_utf8(ck.encode()).unwrap();
+        assert!(Checkpoint::decode(b"nope\n").is_err());
         let truncated = &text[..text.len() - 10];
-        assert!(Checkpoint::read_from(truncated.as_bytes()).is_err());
+        assert!(Checkpoint::decode(truncated.as_bytes()).is_err());
         let dup = text.replace("shard 2 0\n", "shard 0 0\n");
-        assert!(Checkpoint::read_from(dup.as_bytes()).is_err());
+        assert!(Checkpoint::decode(dup.as_bytes()).is_err());
+        // a count with no candidates behind it must fail cleanly, not
+        // size a buffer from it
+        let huge = text.replace("shard 2 0\n", "shard 2 4000000000000000000\n");
+        assert!(Checkpoint::decode(huge.as_bytes()).is_err());
+        let short = text.replace("shard 0 2\n", "shard 0 3\n");
+        assert!(Checkpoint::decode(short.as_bytes()).is_err());
+        let long = text.replace("shard 0 2\n", "shard 0 1\n");
+        assert!(Checkpoint::decode(long.as_bytes()).is_err());
     }
 
     #[test]

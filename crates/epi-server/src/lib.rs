@@ -85,9 +85,11 @@
 //! and `deadline_ms=` windows are swept on every admission/claim wake.
 //! The spool behind checkpoint persistence goes through an injectable
 //! [`spool::SpoolFs`] ([`spool::FaultySpoolFs`] injects ENOSPC/EIO/
-//! torn writes on a seeded schedule); checkpoints rotate
-//! tmp → `.prev` → primary so a torn primary restores from the
-//! rotated previous copy.
+//! torn writes on a seeded schedule). [`record`] is the one durable-record
+//! layer for the server and the coordinator: the exact-bits candidate
+//! codec, the `end`-sentinel line-record framing, and a verified
+//! tmp → `.prev` → primary rotation whose loader always finds the last
+//! checkpoint that saved.
 //!
 //! `STATUS`'s `done` counts completed shards but not *which* ones;
 //! `SHARDS_DONE` + `PARTIAL` exist so a coordinator can harvest exactly
@@ -139,6 +141,7 @@ pub mod engine;
 pub mod frame;
 pub mod job;
 pub mod queue;
+pub mod record;
 pub mod server;
 pub mod spec;
 pub mod spool;

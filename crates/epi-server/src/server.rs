@@ -41,6 +41,7 @@
 use crate::engine::{Engine, EngineConfig};
 use crate::frame;
 use crate::job::JobStatus;
+use crate::record::CandToken;
 use crate::spec::{escape, JobSpec};
 use epi_core::result::Candidate;
 use polling::{Event, Poller};
@@ -680,26 +681,13 @@ impl ReplyStream {
 impl StreamBody {
     fn next_line(&mut self) -> Option<String> {
         match self {
-            StreamBody::Result(cands) => cands.next().map(|c| {
-                format!(
-                    "CAND {} {} {} {:016x} {:.6}\n",
-                    c.triple.0,
-                    c.triple.1,
-                    c.triple.2,
-                    c.score.to_bits(),
-                    c.score
-                )
-            }),
+            StreamBody::Result(cands) => cands
+                .next()
+                .map(|c| format!("CAND {} {:.6}\n", CandToken(&c), c.score)),
             StreamBody::Partial { shards, current } => {
                 if let Some(cands) = current {
                     if let Some(c) = cands.next() {
-                        return Some(format!(
-                            "CAND {} {} {} {:016x}\n",
-                            c.triple.0,
-                            c.triple.1,
-                            c.triple.2,
-                            c.score.to_bits()
-                        ));
+                        return Some(format!("CAND {}\n", CandToken(&c)));
                     }
                     *current = None;
                 }

@@ -87,6 +87,10 @@ impl JobSpec {
     pub const DEFAULT_PRIORITY: u8 = 1;
     /// Highest accepted `priority=` value.
     pub const MAX_PRIORITY: u8 = 9;
+    /// Highest accepted `shards=` value. Every parse path (the wire and
+    /// both checkpoint decoders) goes through [`JobSpec::parse_tokens`],
+    /// so no peer or spool file can size per-shard state beyond it.
+    pub const MAX_SHARDS: u64 = 1 << 20;
 
     /// Spec with the service defaults: V5, 64 shards, top-10, K2.
     pub fn new(path: impl Into<String>) -> Self {
@@ -195,8 +199,10 @@ impl JobSpec {
                     spec.shards = value
                         .parse::<u64>()
                         .ok()
-                        .filter(|&s| s > 0)
-                        .ok_or_else(|| format!("shards expects a positive number, got {value:?}"))?
+                        .filter(|&s| (1..=Self::MAX_SHARDS).contains(&s))
+                        .ok_or_else(|| {
+                            format!("shards expects 1-{}, got {value:?}", Self::MAX_SHARDS)
+                        })?
                 }
                 "top" => {
                     spec.top_k = value
@@ -447,6 +453,9 @@ mod tests {
         assert_eq!(spec.top_k, 10);
         assert!(JobSpec::parse_tokens(&[]).is_err());
         assert!(JobSpec::parse_tokens(&["path=x", "shards=0"]).is_err());
+        assert!(JobSpec::parse_tokens(&["path=x", "shards=100000000000000"]).is_err());
+        let max = format!("shards={}", JobSpec::MAX_SHARDS);
+        assert!(JobSpec::parse_tokens(&["path=x", &max]).is_ok());
         assert!(JobSpec::parse_tokens(&["path=x", "nope=1"]).is_err());
         assert!(JobSpec::parse_tokens(&["path=x", "version=v9"]).is_err());
     }

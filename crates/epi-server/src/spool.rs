@@ -1,16 +1,16 @@
 //! Spool I/O abstraction with injectable disk faults.
 //!
-//! Every byte the engine persists (job checkpoints under the spool
-//! directory) flows through the [`SpoolFs`] trait instead of calling
-//! `std::fs` directly. Production uses [`RealSpoolFs`]; the recovery
-//! suite wraps it in [`FaultySpoolFs`], which injects ENOSPC / EIO /
-//! torn-write faults on a scripted or seeded schedule — the disk-side
-//! sibling of `epi_coord::chaos`'s network fault proxy. Because
-//! checkpoint writes are atomic (tmp → rotate `.prev` → rename), any
-//! injected fault leaves either the previous good file or the new one
-//! intact, never a half-written primary; the tests in
-//! `engine.rs` / `tests/overload.rs` prove restart always recovers to
-//! the last good checkpoint.
+//! Every byte the engine and the federation coordinator persist
+//! (checkpoints under a spool directory or file) flows through the
+//! [`SpoolFs`] trait instead of calling `std::fs` directly. Production
+//! uses [`RealSpoolFs`]; the recovery suites wrap it in
+//! [`FaultySpoolFs`], which injects ENOSPC / EIO / torn-write faults on
+//! a scripted or seeded schedule — the disk-side sibling of
+//! `epi_coord::chaos`'s network fault proxy. The writer on top of it,
+//! [`crate::record::save`], reads every tmp back before rotating it into
+//! place, so under any sequence of injected faults a reload returns the
+//! last checkpoint whose save succeeded; `record.rs`, `engine.rs` and
+//! `epi-coord/tests/recovery.rs` prove it.
 
 use std::io;
 use std::path::{Path, PathBuf};

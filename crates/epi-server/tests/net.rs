@@ -71,6 +71,32 @@ fn oversized_request_is_refused_and_the_server_survives() {
 }
 
 #[test]
+fn absurd_shard_count_is_refused_and_the_server_survives() {
+    let (addr, handle) = start_server(1);
+    let path = std::env::temp_dir().join(format!("epi3_net_shards-{}.epi3", std::process::id()));
+    let data = datagen::DatasetSpec::with_planted_triple(12, 64, [1, 4, 9], 5).generate();
+    datagen::io::save_binary(&path, &data).unwrap();
+    let (mut stream, mut reader) = raw_socket(addr);
+
+    // per-shard state is sized from this count: it must be refused at
+    // the parser, not abort the process in the allocator
+    let submit = format!("SUBMIT path={} shards=100000000000000\n", path.display());
+    stream.write_all(submit.as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("ERR") && line.contains("shards"),
+        "{line:?}"
+    );
+    stream.write_all(b"PING\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("OK pong"), "server must survive: {line:?}");
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn partial_line_from_a_slow_client_does_not_block_others() {
     let (addr, handle) = start_server(1);
 
