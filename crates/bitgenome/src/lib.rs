@@ -19,6 +19,13 @@
 //! * [`TiledPlanes`] — SNP-tiled transposed layout in blocks of `BS` SNPs
 //!   (GPU approach **V4**).
 //!
+//! The CPU layouts are packed from a dense one-byte-per-genotype
+//! [`GenotypeMatrix`] a word at a time: eight genotype bytes are read as
+//! one `u64`, a multiply gathers bit 0 and bit 1 of every byte, and each
+//! 64-sample plane word is a boolean expression of those two masks (see
+//! [`encode`]). The dense types validate their bytes in one branch-free
+//! pass ([`GenotypeMatrix::try_from_raw`], [`Phenotype::try_from_labels`]).
+//!
 //! ## Padding convention
 //!
 //! Sample bits are packed into 64-bit [`Word`]s. The trailing bits of the
@@ -42,7 +49,7 @@ pub mod word;
 
 pub use encode::{ClassPlanes, SplitDataset, UnsplitDataset};
 pub use layout::{TiledPlanes, TransposedPlanes};
-pub use matrix::{GenotypeMatrix, Phenotype};
+pub use matrix::{DataError, GenotypeMatrix, Phenotype};
 pub use pairstream::{add_pair_stream_counts, build_pair_streams, PAIR_STREAMS};
 pub use popcnt::SimdLevel;
 pub use word::{words_for, Word, WORD_BITS};

@@ -1,11 +1,43 @@
 //! Dense (unpacked) genotype matrices and phenotype vectors.
 //!
 //! These are the canonical in-memory form produced by data generators and
-//! readers; all bit-packed layouts are encoded from them. One byte per
-//! genotype keeps encoding simple and testable — the packed layouts are
-//! what the detection kernels actually touch.
+//! readers, one byte per genotype or label — the byte layout of the binary
+//! dataset file, so a loader reads straight into them. All bit-packed
+//! layouts are encoded from them (see [`crate::encode`]); the packed
+//! layouts are what the detection kernels actually touch.
 
 use crate::word::{set_bit, words_for, Word};
+use std::fmt;
+
+/// Why raw genotype or phenotype bytes were refused.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DataError {
+    /// The genotype byte count is not `M × N` (or `M × N` overflows).
+    Shape,
+    /// A genotype outside `{0, 1, 2}`.
+    Genotype,
+    /// A phenotype label outside `{0, 1}`.
+    Label,
+}
+
+impl fmt::Display for DataError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Self::Shape => "genotype data must be M*N",
+            Self::Genotype => "genotype values must be 0, 1 or 2",
+            Self::Label => "phenotype must be 0 or 1",
+        })
+    }
+}
+
+impl std::error::Error for DataError {}
+
+/// Largest byte of `bytes` (0 when empty). A branch-free fold, so it
+/// vectorises — unlike a short-circuiting `all`/`any` scan.
+#[inline]
+fn max_byte(bytes: &[u8]) -> u8 {
+    bytes.iter().fold(0, |acc, &b| acc.max(b))
+}
 
 /// A dense `M × N` genotype matrix: `M` SNPs (rows) by `N` samples
 /// (columns), each entry in `{0, 1, 2}`.
@@ -17,17 +49,24 @@ pub struct GenotypeMatrix {
 }
 
 impl GenotypeMatrix {
+    /// Create a matrix from row-major genotype data, refusing a length
+    /// other than `m * n` and any genotype outside `{0, 1, 2}`.
+    pub fn try_from_raw(m: usize, n: usize, data: Vec<u8>) -> Result<Self, DataError> {
+        if m.checked_mul(n) != Some(data.len()) {
+            return Err(DataError::Shape);
+        }
+        if max_byte(&data) > 2 {
+            return Err(DataError::Genotype);
+        }
+        Ok(Self { m, n, data })
+    }
+
     /// Create a matrix from row-major genotype data.
     ///
     /// # Panics
-    /// Panics if `data.len() != m * n` or any genotype is outside `{0,1,2}`.
+    /// Panics where [`GenotypeMatrix::try_from_raw`] refuses the data.
     pub fn from_raw(m: usize, n: usize, data: Vec<u8>) -> Self {
-        assert_eq!(data.len(), m * n, "genotype data must be M*N");
-        assert!(
-            data.iter().all(|&g| g <= 2),
-            "genotype values must be 0, 1 or 2"
-        );
-        Self { m, n, data }
+        Self::try_from_raw(m, n, data).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// An all-zero (homozygous major) matrix.
@@ -115,14 +154,22 @@ pub struct Phenotype {
 }
 
 impl Phenotype {
+    /// Create from 0 (control) / 1 (case) labels, refusing any other
+    /// value.
+    pub fn try_from_labels(labels: Vec<u8>) -> Result<Self, DataError> {
+        if max_byte(&labels) > 1 {
+            return Err(DataError::Label);
+        }
+        let n_cases = labels.iter().map(|&p| usize::from(p)).sum();
+        Ok(Self { labels, n_cases })
+    }
+
     /// Create from 0 (control) / 1 (case) labels.
     ///
     /// # Panics
     /// Panics if any label is outside `{0, 1}`.
     pub fn from_labels(labels: Vec<u8>) -> Self {
-        assert!(labels.iter().all(|&p| p <= 1), "phenotype must be 0 or 1");
-        let n_cases = labels.iter().filter(|&&p| p == 1).count();
-        Self { labels, n_cases }
+        Self::try_from_labels(labels).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Number of samples.
@@ -207,6 +254,30 @@ mod tests {
     #[should_panic(expected = "genotype values")]
     fn rejects_invalid_genotype() {
         GenotypeMatrix::from_raw(1, 1, vec![3]);
+    }
+
+    #[test]
+    fn try_from_raw_refuses_bad_shape_and_values() {
+        assert_eq!(
+            GenotypeMatrix::try_from_raw(2, 3, vec![0; 5]),
+            Err(DataError::Shape)
+        );
+        assert_eq!(
+            GenotypeMatrix::try_from_raw(usize::MAX, 2, vec![]),
+            Err(DataError::Shape)
+        );
+        let mut data = vec![2; 200];
+        data[131] = 3;
+        assert_eq!(
+            GenotypeMatrix::try_from_raw(2, 100, data),
+            Err(DataError::Genotype)
+        );
+        assert_eq!(
+            Phenotype::try_from_labels(vec![0, 1, 2]),
+            Err(DataError::Label)
+        );
+        let p = Phenotype::try_from_labels(vec![1, 0, 1, 1]).unwrap();
+        assert_eq!((p.num_cases(), p.num_controls()), (3, 1));
     }
 
     #[test]

@@ -237,6 +237,12 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
+    /// Largest SNP count whose `C(m, 3)` fits the `u64` combination ranks
+    /// (`C(4_801_281, 3)` is past `u64::MAX`); `C(m, 2)` fits as well.
+    /// Counts read from untrusted input are bounded by it before a plan
+    /// is derived from them.
+    pub const MAX_SNPS: usize = 4_801_280;
+
     /// Plan for `C(m, 3)` triples in `s` shards (`s >= 1`).
     pub fn triples(m: usize, s: u64) -> Self {
         Self::new(m, Order::Triples, s)
@@ -738,6 +744,16 @@ mod tests {
             GenotypeMatrix::from_raw(m, n, data),
             Phenotype::from_labels(labels),
         )
+    }
+
+    #[test]
+    fn max_snps_is_the_largest_count_whose_triples_fit_u64() {
+        let triples = |m: u128| m * (m - 1) * (m - 2) / 6;
+        let max = ShardPlan::MAX_SNPS as u128;
+        assert!(triples(max) <= u128::from(u64::MAX));
+        assert!(triples(max + 1) > u128::from(u64::MAX));
+        let plan = ShardPlan::triples(ShardPlan::MAX_SNPS, 7);
+        assert_eq!(u128::from(plan.total_combos()), triples(max));
     }
 
     #[test]

@@ -632,6 +632,21 @@ fn panics_fire_on_all_four_kinds_in_scope() {
 }
 
 #[test]
+fn panics_cover_the_dataset_loader_but_not_the_rest_of_datagen() {
+    // datagen::io runs on the server's poll thread for every SUBMIT
+    let t = tree(&[
+        ("crates/datagen/src/io.rs", PANICKY),
+        ("crates/datagen/src/generator.rs", PANICKY),
+    ]);
+    let f = run(&t, "panics");
+    assert_eq!(f.len(), 4, "{f:?}");
+    assert!(
+        f.iter().all(|x| x.file.ends_with("datagen/src/io.rs")),
+        "{f:?}"
+    );
+}
+
+#[test]
 fn panics_silent_out_of_scope_and_in_tests() {
     let t = tree(&[
         // same code outside the server/coordinator request paths

@@ -158,10 +158,17 @@ impl Checkpoint {
                 return Err(format!("duplicate shard record {idx}"));
             }
         }
+        let snps = snps.ok_or("checkpoint missing snps record")?;
+        if snps > ShardPlan::MAX_SNPS {
+            return Err(format!(
+                "snp count {snps} exceeds the plan limit {}",
+                ShardPlan::MAX_SNPS
+            ));
+        }
         Ok(Self {
             job_id: job_id.ok_or("checkpoint missing job record")?,
             spec,
-            snps: snps.ok_or("checkpoint missing snps record")?,
+            snps,
             shard_results,
         })
     }
@@ -300,6 +307,14 @@ mod tests {
         assert!(Checkpoint::decode(short.as_bytes()).is_err());
         let long = text.replace("shard 0 2\n", "shard 0 1\n");
         assert!(Checkpoint::decode(long.as_bytes()).is_err());
+        // the snp count sizes the shard plan: bounded by the plan limit
+        let max = ShardPlan::MAX_SNPS;
+        let over = text.replace("snps 30\n", &format!("snps {}\n", max + 1));
+        assert!(Checkpoint::decode(over.as_bytes()).is_err());
+        let huge = text.replace("snps 30\n", &format!("snps {}\n", u64::MAX));
+        assert!(Checkpoint::decode(huge.as_bytes()).is_err());
+        let at = text.replace("snps 30\n", &format!("snps {max}\n"));
+        assert_eq!(Checkpoint::decode(at.as_bytes()).unwrap().snps, max);
     }
 
     #[test]

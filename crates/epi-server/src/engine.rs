@@ -957,6 +957,13 @@ fn load_encoded(spec: &JobSpec, root: Option<&Path>) -> Result<(EncodedData, usi
         }
     }
     let m = g.num_snps();
+    if m > ShardPlan::MAX_SNPS {
+        return Err(format!(
+            "dataset {} has {m} SNPs; the shard plan holds at most {}",
+            path.display(),
+            ShardPlan::MAX_SNPS
+        ));
+    }
     let data = match spec.version {
         Version::V1 => EncodedData::Unsplit(UnsplitDataset::encode(&g, &p)),
         _ => EncodedData::Split(SplitDataset::encode(&g, &p)),
@@ -2159,6 +2166,57 @@ mod tests {
             ..EngineConfig::default()
         });
         assert!(engine.status(5).is_err(), "corrupt checkpoint restored");
+        engine.stop();
+        let _ = std::fs::remove_dir_all(&spool);
+    }
+
+    #[test]
+    fn dataset_with_more_snps_than_a_plan_holds_is_refused() {
+        // a valid ~9.6 MB file (one sample per SNP) whose C(m, 3) is
+        // past u64::MAX: refused instead of planned on a wrapped count
+        let m = ShardPlan::MAX_SNPS + 1;
+        let path = std::env::temp_dir().join(format!("epi_maxsnps_{}.epi3", std::process::id()));
+        let file = std::fs::File::create(&path).unwrap();
+        let g = bitgenome::GenotypeMatrix::zeros(m, 1);
+        let p = bitgenome::Phenotype::from_labels(vec![1]);
+        datagen::io::write_binary(file, &g, &p).unwrap();
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let err = engine
+            .submit(JobSpec::new(path.to_str().unwrap()))
+            .unwrap_err();
+        assert!(err.contains("shard plan holds at most"), "{err}");
+        engine.stop();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn oversized_snp_count_in_spool_is_skipped_on_restore() {
+        // the snp count sizes the restored job's shard plan; a value
+        // near u64::MAX would overflow C(m, 3)
+        let spool = std::env::temp_dir().join(format!("epi_hugesnps_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        std::fs::create_dir_all(&spool).unwrap();
+        let mut spec = JobSpec::new("/nonexistent/huge-snps.epi3");
+        spec.shards = 2;
+        let ck = Checkpoint {
+            job_id: 6,
+            spec,
+            snps: 12,
+            shard_results: vec![None, None],
+        };
+        let text = String::from_utf8(ck.encode())
+            .unwrap()
+            .replace("snps 12\n", &format!("snps {}\n", u64::MAX - 1));
+        std::fs::write(spool.join("job-6.ckpt"), text).unwrap();
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            spool_dir: Some(spool.clone()),
+            ..EngineConfig::default()
+        });
+        assert!(engine.status(6).is_err(), "corrupt checkpoint restored");
         engine.stop();
         let _ = std::fs::remove_dir_all(&spool);
     }

@@ -1,8 +1,8 @@
 //! Network-edge tests of the readiness-loop server: request caps,
-//! slow/partial writers, accept-error backoff, the framed transport's
-//! bit-identity with text, corrupt-frame rejection, and a
-//! many-connections smoke test — all against one single-threaded
-//! accept loop.
+//! crafted dataset headers, slow/partial writers, accept-error backoff,
+//! the framed transport's bit-identity with text, corrupt-frame
+//! rejection, and a many-connections smoke test — all against one
+//! single-threaded accept loop.
 
 use epi_server::frame;
 use epi_server::server::MAX_REQUEST_LEN;
@@ -88,6 +88,32 @@ fn absurd_shard_count_is_refused_and_the_server_survives() {
         line.starts_with("ERR") && line.contains("shards"),
         "{line:?}"
     );
+    stream.write_all(b"PING\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("OK pong"), "server must survive: {line:?}");
+    handle.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn crafted_dataset_header_is_refused_and_the_server_survives() {
+    let (addr, handle) = start_server(1);
+    // 20 bytes whose header claims 2^20 x 2^20 genotypes: admission
+    // sizes the job from the file's length, so the loader is what must
+    // refuse it instead of allocating a terabyte
+    let path = std::env::temp_dir().join(format!("epi3_net_header-{}.epi3", std::process::id()));
+    let mut bytes = b"EPI3".to_vec();
+    bytes.extend((1u64 << 20).to_le_bytes());
+    bytes.extend((1u64 << 20).to_le_bytes());
+    std::fs::write(&path, bytes).unwrap();
+    let (mut stream, mut reader) = raw_socket(addr);
+
+    let submit = format!("SUBMIT path={} shards=4\n", path.display());
+    stream.write_all(submit.as_bytes()).unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.starts_with("ERR cannot read dataset"), "{line:?}");
     stream.write_all(b"PING\n").unwrap();
     line.clear();
     reader.read_line(&mut line).unwrap();
