@@ -21,6 +21,8 @@ use crate::node::{is_transport_error, NodeHandle};
 use epi_core::result::{Candidate, TopK};
 use epi_core::shard::ShardSet;
 use epi_server::{record, JobSpec, JobState, RealSpoolFs, SpoolFs};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -163,19 +165,21 @@ pub fn partition(num_shards: u64, n: usize) -> Vec<ShardSet> {
 }
 
 /// Derive the idempotent `job_token=` the coordinator pins into a
-/// sub-job: FNV-1a over the shard set's compact encoding and the
-/// submission sequence, prefixed by the caller's own token when the
-/// federated spec carries one. Deterministic per submission (so the
-/// client's over-capacity retry loop resends it verbatim) yet unique
-/// across submissions (so a re-owned shard set admits a *new* job
-/// instead of being echoed the cancelled one's status).
-fn derive_job_token(base: Option<&str>, shards: &ShardSet, seq: u64) -> String {
+/// sub-job: FNV-1a over the sub-job's spec tokens (its shard set, top-K,
+/// pinned dataset hash…), the submission sequence and the run's nonce,
+/// prefixed by the caller's own token when the federated spec carries
+/// one. Deterministic per submission (so the client's over-capacity
+/// retry loop resends it verbatim) yet unique across submissions (so a
+/// re-owned shard set admits a *new* job instead of being echoed the
+/// cancelled one's status) and across different work.
+fn derive_job_token(sub: &JobSpec, seq: u64, nonce: u64) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in shards.to_compact().bytes().chain(seq.to_le_bytes()) {
+    let words = seq.to_le_bytes().into_iter().chain(nonce.to_le_bytes());
+    for b in sub.to_tokens().bytes().chain(words) {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
-    format!("{}-{h:016x}", base.unwrap_or("fed"))
+    format!("{}-{h:016x}", sub.job_token.as_deref().unwrap_or("fed"))
 }
 
 /// Parse the `retry_after_ms=` hint out of an `over capacity` refusal
@@ -223,6 +227,10 @@ struct Run<'a> {
     /// SUBMIT (the client's retry loop reuses it), unique across
     /// submissions so a re-owned shard set admits a fresh job.
     token_seq: u64,
+    /// Hashed into every derived `job_token=` when the caller gave none,
+    /// so each token-less run is new work; `0` when the caller's token
+    /// names the run.
+    token_nonce: u64,
     assignments: Vec<Assignment>,
     pending: Vec<PendingWork>,
     merged: ShardSet,
@@ -239,6 +247,12 @@ struct Run<'a> {
 
 fn new_run<'a>(spec: JobSpec, cfg: &'a FederationConfig) -> Run<'a> {
     let n = cfg.nodes.len();
+    // RandomState seeds its keys from the OS once per thread and steps
+    // them on every construction, so every call draws a fresh nonce
+    let token_nonce = match spec.job_token {
+        Some(_) => 0,
+        None => RandomState::new().hash_one(std::process::id()),
+    };
     Run {
         cfg,
         top: TopK::new(spec.top_k.max(1)),
@@ -254,6 +268,7 @@ fn new_run<'a>(spec: JobSpec, cfg: &'a FederationConfig) -> Run<'a> {
         idle_since: vec![None; n],
         busy_until: vec![None; n],
         token_seq: 0,
+        token_nonce,
         assignments: Vec::new(),
         pending: Vec::new(),
         merged: ShardSet::new(),
@@ -474,11 +489,7 @@ impl Run<'_> {
         // resends it verbatim, so a SUBMIT whose ack was lost is echoed
         // back by the node instead of admitting a duplicate scan.
         self.token_seq += 1;
-        sub.job_token = Some(derive_job_token(
-            self.spec.job_token.as_deref(),
-            &shards,
-            self.token_seq,
-        ));
+        sub.job_token = Some(derive_job_token(&sub, self.token_seq, self.token_nonce));
         match self.nodes[node].rpc(|c| c.submit(&sub)) {
             Ok(st) => {
                 self.assignments.push(Assignment {

@@ -319,3 +319,45 @@ fn over_capacity_node_is_routed_around_not_declared_dead() {
         h.shutdown();
     }
 }
+
+#[test]
+fn rerun_with_a_larger_top_k_is_new_work() {
+    let path = write_dataset("rerun-topk", 20, 192, 41);
+    let (addrs, handles) = spawn_fleet(&[1, 1]);
+    let cfg = test_config(&addrs);
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 2;
+    spec.top_k = 1;
+    let first = federate(&spec, &cfg).expect("first run");
+    assert_bit_identical(&first.top, &monolithic(&path, 1));
+    // the same shards asking for more candidates must be scanned
+    // again, not answered with the first run's top-1 per shard
+    spec.top_k = 5;
+    let rerun = federate(&spec, &cfg).expect("re-run");
+    assert_bit_identical(&rerun.top, &monolithic(&path, 5));
+    for h in handles {
+        h.shutdown();
+    }
+}
+
+#[test]
+fn rerun_after_the_dataset_is_rewritten_scans_the_new_file() {
+    let path = write_dataset("rerun-rewrite", 20, 192, 42);
+    let (addrs, handles) = spawn_fleet(&[1, 1]);
+    let cfg = test_config(&addrs);
+    let mut spec = JobSpec::new(path.to_str().unwrap());
+    spec.shards = 2;
+    spec.top_k = 5;
+    let first = federate(&spec, &cfg).expect("first run");
+    assert_bit_identical(&first.top, &monolithic(&path, 5));
+    // new content under the same path: the nodes are healthy, and the
+    // re-run must scan what the file holds now
+    let data = datagen::DatasetSpec::with_planted_triple(20, 192, [1, 4, 15], 43).generate();
+    datagen::io::save_binary(&path, &data).unwrap();
+    let rerun = federate(&spec, &cfg).expect("re-run");
+    assert!(rerun.quarantined.is_empty(), "{:?}", rerun.quarantined);
+    assert_bit_identical(&rerun.top, &monolithic(&path, 5));
+    for h in handles {
+        h.shutdown();
+    }
+}

@@ -55,7 +55,9 @@ impl Checkpoint {
     }
 
     /// Rebuild a `Job` in `Cancelled` state (resume re-enqueues the
-    /// missing shards); `Done` if nothing is missing.
+    /// missing shards); `Done` if nothing is missing. A fresh SUBMIT
+    /// builds its job the same way, from a checkpoint with no shard
+    /// scanned, and the engine's admission then puts it to work.
     pub fn into_job(self) -> Job {
         let plan = ShardPlan::triples(self.snps, self.spec.shards);
         let complete = self.shard_results.iter().all(|r| r.is_some());

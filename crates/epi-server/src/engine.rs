@@ -20,13 +20,16 @@
 //! the unscanned remainder of its batch, so batching never widens the
 //! cancel window beyond the shard mid-scan.
 //!
-//! Resource governance sits in front of all of that: a memory
-//! accountant charges every admitted job its encoded-dataset + result
-//! scratch footprint against a configurable budget, per-tenant quotas
-//! bound concurrent jobs and queued shards, `deadline_ms=` budgets are
-//! enforced by a sweep on every API call and worker wake, and an
-//! idempotent `job_token=` lets clients retry `over capacity`
-//! rejections without ever duplicating work. All spool I/O goes
+//! Resource governance sits in front of all of that, on the one
+//! admission path SUBMIT and RESUME share: a memory accountant charges
+//! every admitted job its encoded-dataset + result scratch footprint
+//! against a configurable budget, per-tenant quotas bound concurrent
+//! jobs and queued shards, `deadline_ms=` budgets are enforced by a
+//! sweep on every API call and worker wake, and an idempotent
+//! `job_token=`, bound to the work it was admitted for, lets clients
+//! retry `over capacity` rejections without ever duplicating work. A
+//! job holds its dataset and charge only while it is queued/running or
+//! has a shard in flight. All spool I/O goes
 //! through the injectable [`SpoolFs`] layer so the recovery suite can
 //! prove disk faults mid-checkpoint never corrupt job state.
 
@@ -90,9 +93,9 @@ pub struct EngineConfig {
     pub dataset_root: Option<PathBuf>,
     /// Memory budget in bytes for admitted jobs (encoded datasets +
     /// result scratch, accounted per job the way `epi_core`'s cache
-    /// cost model accounts blocks). `None` = unlimited. A SUBMIT that
-    /// would exceed it is refused with `over capacity
-    /// (retry_after_ms=N)` *before* anything is allocated.
+    /// cost model accounts blocks). `None` = unlimited. A SUBMIT or
+    /// RESUME that would exceed it is refused with `over capacity
+    /// (retry_after_ms=N)` *before* anything is read or allocated.
     pub mem_budget: Option<u64>,
     /// Per-tenant cap on concurrent (queued/running) jobs; `None` =
     /// unlimited.
@@ -111,8 +114,8 @@ struct EngineState {
     next_id: u64,
     /// `job_token=` → job id. A retried SUBMIT carrying a token the
     /// engine has seen gets the existing job's status echoed back
-    /// instead of a duplicate job — the idempotency half of the
-    /// retry-on-`over capacity` contract.
+    /// instead of a duplicate job when it asks for the same work — the
+    /// idempotency half of the retry-on-`over capacity` contract.
     tokens: HashMap<String, u64>,
     /// Bytes currently charged by the memory accountant (reservations
     /// of in-flight admissions plus every admitted job's
@@ -128,13 +131,10 @@ struct Shared {
     /// number of *distinct* shards completed, which is how the tests
     /// prove resume never rescans checkpointed work.
     shards_scanned: AtomicU64,
-    spool_dir: Option<PathBuf>,
-    /// Clamped engine-wide default tier for specs without `simd=`.
-    default_simd: Option<bitgenome::SimdLevel>,
-    /// Node-local dataset directory; see [`EngineConfig::dataset_root`].
-    dataset_root: Option<PathBuf>,
-    /// Worker-pool size (sets the batch-claim balance cap).
-    workers: usize,
+    /// The configuration, normalised at start: `workers` is the resolved
+    /// pool size (it sets the batch-claim balance cap) and
+    /// `default_simd` is clamped to the host.
+    cfg: EngineConfig,
     /// Per-worker pair-prefix cache counters `(hits, misses)`, flushed by
     /// each worker after every shard, so STATS reports the whole pool —
     /// not whichever worker a single counter happened to follow.
@@ -148,12 +148,6 @@ struct Shared {
     spool_written: Mutex<HashMap<u64, u64>>,
     /// All spool reads/writes go through this (fault injection point).
     fs: Arc<dyn SpoolFs>,
-    /// Memory budget; see [`EngineConfig::mem_budget`].
-    mem_budget: Option<u64>,
-    /// See [`EngineConfig::max_jobs_per_tenant`].
-    max_jobs_per_tenant: Option<u64>,
-    /// See [`EngineConfig::max_queued_per_tenant`].
-    max_queued_per_tenant: Option<u64>,
     /// Submissions refused by admission control (budget or quota)
     /// since engine start — the STATS `rejected=` counter.
     rejected: AtomicU64,
@@ -170,10 +164,11 @@ impl Engine {
     /// Start an engine: spawns the worker pool and, when a spool
     /// directory is configured, restores every checkpoint found there
     /// (restored jobs sit in `Cancelled`/`Done` until resumed).
-    pub fn start(cfg: EngineConfig) -> Arc<Self> {
+    pub fn start(mut cfg: EngineConfig) -> Arc<Self> {
         // `0` = all cores; explicit requests are clamped to the host's
         // parallelism like every other thread knob (epi_core::pool).
-        let threads = epi_core::pool::resolve_threads(cfg.workers);
+        cfg.workers = epi_core::pool::resolve_threads(cfg.workers);
+        cfg.default_simd = cfg.default_simd.map(|l| l.clamped_to_host());
         let fs: Arc<dyn SpoolFs> = cfg
             .spool_fs
             .clone()
@@ -189,25 +184,19 @@ impl Engine {
             work_ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             shards_scanned: AtomicU64::new(0),
-            spool_dir: cfg.spool_dir.clone(),
-            default_simd: cfg.default_simd.map(|l| l.clamped_to_host()),
-            dataset_root: cfg.dataset_root.clone(),
-            workers: threads,
-            pair_stats: (0..threads)
+            pair_stats: (0..cfg.workers)
                 .map(|_| (AtomicU64::new(0), AtomicU64::new(0)))
                 .collect(),
+            cfg,
             spool_written: Mutex::new(HashMap::new()),
             fs,
-            mem_budget: cfg.mem_budget,
-            max_jobs_per_tenant: cfg.max_jobs_per_tenant,
-            max_queued_per_tenant: cfg.max_queued_per_tenant,
             rejected: AtomicU64::new(0),
         });
-        if let Some(dir) = &cfg.spool_dir {
+        if let Some(dir) = &shared.cfg.spool_dir {
             Self::restore_spool(&shared, dir);
         }
-        let mut workers = Vec::with_capacity(threads);
-        for widx in 0..threads {
+        let mut workers = Vec::with_capacity(shared.cfg.workers);
+        for widx in 0..shared.cfg.workers {
             let shared = Arc::clone(&shared);
             workers.push(std::thread::spawn(move || worker_loop(&shared, widx)));
         }
@@ -255,13 +244,11 @@ impl Engine {
         }
     }
 
-    /// Submit a new job. Admission control runs first — token
-    /// idempotency, tenant quotas, and the memory budget are checked
-    /// (and an estimate reserved) *before* the dataset is touched, so an
-    /// `over capacity` rejection costs no allocation. The dataset is
-    /// then loaded and encoded synchronously so invalid submissions fail
-    /// at the protocol boundary, and every owned shard is enqueued on
-    /// the job's `(priority, tenant)` dispatch lane. A requested SIMD
+    /// Submit a new job through the admission path it shares with
+    /// [`Engine::resume`] (quotas and memory budget checked before the
+    /// dataset is read). A `job_token=` the engine has already admitted
+    /// echoes that job's status when the spec asks for the same work,
+    /// and is refused when it asks for different work. A requested SIMD
     /// tier is clamped to *this* host's capability (the scan runs here,
     /// whatever the client supports) and the clamped tier is what STATUS
     /// echoes back.
@@ -269,180 +256,148 @@ impl Engine {
         if spec.shards == 0 {
             return Err("a job needs at least one shard".into());
         }
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err("engine is shutting down".into());
-        }
         let mut spec = spec;
         spec.simd = spec
             .simd
             .map(|l| l.clamped_to_host())
-            .or(self.shared.default_simd);
-        // Size the job from file metadata alone (a stat, not a read):
-        // the refusal path must not pay for what it refuses.
-        let est = estimate_footprint(&spec, self.shared.dataset_root.as_deref())?;
-        let tenant = spec
-            .tenant
-            .clone()
-            .unwrap_or_else(|| DEFAULT_TENANT.to_string());
-        // Phase A — admission under the lock: on success the estimate is
-        // reserved and the id + token registered, so concurrent
-        // duplicates and over-budget bursts are decided here while the
-        // slow load below runs outside the lock.
-        let id = {
+            .or(self.shared.cfg.default_simd);
+        self.admit(Ask::Submit(spec))
+    }
+
+    /// Resume a cancelled (or failed) job from its checkpoint through
+    /// the admission path it shares with [`Engine::submit`]: reloads the
+    /// dataset if the job dropped it and re-enqueues only the missing
+    /// shards. A job with nothing left to scan ends `Done` without a
+    /// load.
+    pub fn resume(&self, id: u64) -> Result<JobStatus, String> {
+        self.admit(Ask::Resume(id))
+    }
+
+    /// The one admission path for SUBMIT and RESUME. Under the lock: the
+    /// tenant job quota, the tenant queued-shard quota and the memory
+    /// budget are checked against a stat-only estimate, which is then
+    /// reserved — so an `over capacity` refusal reads and allocates
+    /// nothing, and leaves a resumed job parked as it was. The dataset is
+    /// then loaded and encoded outside the lock, so invalid work fails at
+    /// the protocol boundary without stalling workers. Back under the
+    /// lock the reservation becomes the encoded planes' exact charge, or
+    /// is rolled back: a SUBMIT frees its token, a RESUME parks its job
+    /// `Failed` with the error in STATUS.
+    fn admit(&self, ask: Ask) -> Result<JobStatus, String> {
+        if self.shared.shutdown.load(Ordering::SeqCst) {
+            return Err("engine is shutting down".into());
+        }
+        let cfg = &self.shared.cfg;
+        let root = cfg.dataset_root.as_deref();
+        let (spec, id, resuming, est) = {
             let mut state = lock(&self.shared.state);
             let st = &mut *state;
             sweep_deadlines(st);
-            if let Some(token) = &spec.job_token {
-                if let Some(&existing) = st.tokens.get(token) {
-                    return match st.jobs.get(&existing) {
-                        // idempotent echo: the token was already
-                        // admitted — report that job, duplicate nothing
-                        Some(job) => Ok(job.status()),
-                        // reserved by a submit still loading its dataset
-                        None => Err(format!("job_token {token:?} is mid-admission; retry")),
-                    };
+            let (spec, resumed, incoming, has_data) = match ask {
+                Ask::Submit(spec) => {
+                    if let Some(echo) = token_echo(st, &spec)? {
+                        return Ok(echo);
+                    }
+                    let incoming = spec.owned_shards();
+                    (spec, None, incoming, false)
                 }
-            }
-            if let Some(max) = self.shared.max_jobs_per_tenant {
-                let active = active_tenant_jobs(&st.jobs, &tenant);
+                Ask::Resume(id) => {
+                    let job = st
+                        .jobs
+                        .get_mut(&id)
+                        .ok_or_else(|| format!("no such job {id}"))?;
+                    match job.state {
+                        JobState::Cancelled | JobState::Failed => {}
+                        JobState::Done => return Ok(job.status()),
+                        other => return Err(format!("job {id} is {other}; nothing to resume")),
+                    }
+                    if job.missing_shards().is_empty() {
+                        job.state = JobState::Done;
+                        job.error = None;
+                        release_if_parked(job, &mut st.mem_used);
+                        return Ok(job.status());
+                    }
+                    let incoming = job.resumable_shards().len() as u64;
+                    (job.spec.clone(), Some(id), incoming, job.data.is_some())
+                }
+            };
+            // A parked job with shards still in flight kept its dataset
+            // and charge; anything else is sized from a stat, not a read.
+            let est = if has_data {
+                0
+            } else {
+                match (estimate_footprint(&spec, root), resumed) {
+                    (Ok(est), _) => est,
+                    (Err(e), Some(id)) => return Err(roll_back(st, id, e)),
+                    (Err(e), None) => return Err(e),
+                }
+            };
+            let tenant = spec.tenant.as_deref().unwrap_or(DEFAULT_TENANT);
+            if let Some(max) = cfg.max_jobs_per_tenant {
+                let active = active_tenant_jobs(&st.jobs, tenant);
                 if active >= max {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!(
-                        "over capacity (retry_after_ms=100): tenant {tenant} has \
-                         {active} active jobs (quota {max})"
-                    ));
+                    return Err(self.shared.over_capacity(format!(
+                        "tenant {tenant} has {active} active jobs (quota {max})"
+                    )));
                 }
             }
-            if let Some(max) = self.shared.max_queued_per_tenant {
-                let queued = st.queue.queued_for_tenant(&tenant);
-                let incoming = match &spec.shard_set {
-                    Some(set) => set.len(),
-                    None => spec.shards,
-                };
-                if queued.saturating_add(incoming) > max {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!(
-                        "over capacity (retry_after_ms=100): tenant {tenant} would \
-                         have {} queued shards (quota {max})",
-                        queued.saturating_add(incoming)
-                    ));
+            if let Some(max) = cfg.max_queued_per_tenant {
+                let queued = st.queue.queued_for_tenant(tenant).saturating_add(incoming);
+                if queued > max {
+                    return Err(self.shared.over_capacity(format!(
+                        "tenant {tenant} would have {queued} queued shards (quota {max})"
+                    )));
                 }
             }
-            if let Some(budget) = self.shared.mem_budget {
+            if let Some(budget) = cfg.mem_budget {
                 if st.mem_used.saturating_add(est) > budget {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!(
-                        "over capacity (retry_after_ms=100): job needs ~{est} bytes, \
-                         {} of {budget} budget in use",
+                    return Err(self.shared.over_capacity(format!(
+                        "job needs ~{est} bytes, {} of {budget} budget in use",
                         st.mem_used
-                    ));
+                    )));
                 }
             }
-            st.mem_used = st.mem_used.saturating_add(est);
-            let id = st.next_id;
-            st.next_id += 1;
-            if let Some(token) = &spec.job_token {
-                st.tokens.insert(token.clone(), id);
-            }
-            id
-        };
-        let loaded = load_encoded(&spec, self.shared.dataset_root.as_deref());
-        let (data, m, hash) = match loaded {
-            Ok(v) => v,
-            Err(e) => {
-                self.rollback_admission(est, spec.job_token.as_deref());
-                return Err(e);
-            }
-        };
-        let plan = ShardPlan::triples(m, spec.shards);
-        let shards = plan.num_shards();
-        if let Some(set) = &spec.shard_set {
-            // shard_set indexes the *global* plan derived from this spec;
-            // an out-of-range index means the submitter's plan disagrees
-            // with ours — fail loudly rather than silently scan less.
-            match set.max() {
-                Some(max) if max < shards => {}
-                Some(max) => {
-                    self.rollback_admission(est, spec.job_token.as_deref());
-                    return Err(format!(
-                        "shard_set index {max} out of range: plan has {shards} shards"
-                    ));
+            let id = match resumed {
+                Some(id) if has_data => {
+                    let job = st
+                        .jobs
+                        .get_mut(&id)
+                        .ok_or_else(|| format!("no such job {id}"))?;
+                    let status = launch(job, &mut st.queue, &mut st.mem_used);
+                    drop(state);
+                    self.shared.work_ready.notify_all();
+                    return Ok(status);
                 }
+                Some(id) => id,
                 None => {
-                    self.rollback_admission(est, spec.job_token.as_deref());
-                    return Err("shard_set selects no shards".into());
+                    let id = st.next_id;
+                    st.next_id += 1;
+                    if let Some(token) = &spec.job_token {
+                        st.tokens.insert(token.clone(), id);
+                    }
+                    id
                 }
-            }
-        }
-        // The global shard indices this job actually scans. Results are
-        // still recorded at their global index, so a coordinator can
-        // merge sub-jobs from many nodes without translation.
-        let owned: Vec<u64> = match &spec.shard_set {
-            Some(set) => set.iter().collect(),
-            None => (0..shards).collect(),
+            };
+            st.mem_used = st.mem_used.saturating_add(est);
+            (spec, id, resumed.is_some(), est)
         };
-        // Phase B — commit under the lock: swap the stat-based
-        // reservation for the encoded planes' exact resident size.
+        let loaded = load_encoded(&spec, root);
         let mut state = lock(&self.shared.state);
         let st = &mut *state;
-        let actual = data.resident_bytes().saturating_add(scratch_bytes(&spec));
-        st.mem_used = st.mem_used.saturating_sub(est).saturating_add(actual);
-        let deadline = spec
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        let priority = spec.priority;
-        let fail_partial_left = spec.fail_partial;
-        let mut job = Job {
-            id,
-            spec,
-            plan,
-            state: JobState::Queued,
-            shard_results: vec![None; shards as usize],
-            in_flight: Default::default(),
-            data: Some(Arc::new(data)),
-            error: None,
-            ckpt_seq: 0,
-            dataset_hash: Some(hash),
-            fail_partial_left,
-            deadline,
-            mem_charge: actual,
+        st.mem_used = st.mem_used.saturating_sub(est);
+        let fresh = (!resuming).then_some(spec);
+        let status = loaded
+            .and_then(|loaded| commit(st, id, fresh, loaded))
+            .map_err(|e| roll_back(st, id, e))?;
+        // only a degenerate SUBMIT finishes at admission
+        let snapshot = match st.jobs.get_mut(&id) {
+            Some(job) if job.state == JobState::Done => self.shared.snapshot(job),
+            _ => None,
         };
-        if job.plan.total_combos() == 0 {
-            // Degenerate dataset (M < 3): complete immediately with the
-            // empty result rather than scheduling no-op shards.
-            for &shard in &owned {
-                job.shard_results[shard as usize] = Some(Vec::new());
-            }
-            job.state = JobState::Done;
-            job.data = None;
-            st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-            job.mem_charge = 0;
-            let status = job.status();
-            let snapshot = snapshot_if_spooled(&mut job, self.shared.spool_dir.as_deref());
-            st.jobs.insert(id, job);
-            drop(state);
-            self.shared.write_checkpoint(snapshot);
-            return Ok(status);
-        }
-        for shard in owned {
-            st.queue.push(&tenant, priority, (id, shard));
-        }
-        let status = job.status();
-        st.jobs.insert(id, job);
         drop(state);
+        self.shared.write_checkpoint(snapshot);
         self.shared.work_ready.notify_all();
         Ok(status)
-    }
-
-    /// Undo a Phase-A admission reservation after the dataset load (or
-    /// plan validation) failed outside the lock: release the estimate
-    /// and free the token so the client can retry cleanly.
-    fn rollback_admission(&self, est: u64, token: Option<&str>) {
-        let mut state = lock(&self.shared.state);
-        state.mem_used = state.mem_used.saturating_sub(est);
-        if let Some(token) = token {
-            state.tokens.remove(token);
-        }
     }
 
     /// Progress snapshot of one job.
@@ -496,145 +451,11 @@ impl Engine {
         if matches!(job.state, JobState::Queued | JobState::Running) {
             job.state = JobState::Cancelled;
         }
-        if job.state == JobState::Cancelled && job.in_flight.is_empty() {
-            // Release the encoded dataset (O(M*N) bits) while the job is
-            // parked; resume reloads it from spec.path. With shards still
-            // in flight the workers hold their own Arc clones, and the
-            // last completion drops it instead (worker_loop). The memory
-            // accountant releases the charge with the data.
-            job.data = None;
-            st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-            job.mem_charge = 0;
-        }
+        release_if_parked(job, &mut st.mem_used);
         let status = job.status();
-        let snapshot = snapshot_if_spooled(job, self.shared.spool_dir.as_deref());
+        let snapshot = self.shared.snapshot(job);
         drop(state);
         self.shared.write_checkpoint(snapshot);
-        Ok(status)
-    }
-
-    /// Resume a cancelled (or failed-at-restore) job from its checkpoint:
-    /// reloads the dataset if needed and re-enqueues only the missing
-    /// shards.
-    pub fn resume(&self, id: u64) -> Result<JobStatus, String> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err("engine is shutting down".into());
-        }
-        // Phase 1 — inspect under the lock, but do the (potentially slow)
-        // dataset load/encode outside it: holding the engine mutex during
-        // file I/O would stall every worker and client.
-        let reload_spec = {
-            let state = lock(&self.shared.state);
-            let job = state
-                .jobs
-                .get(&id)
-                .ok_or_else(|| format!("no such job {id}"))?;
-            match job.state {
-                JobState::Cancelled | JobState::Failed => {}
-                JobState::Done => return Ok(job.status()),
-                other => return Err(format!("job {id} is {other}; nothing to resume")),
-            }
-            job.data.is_none().then(|| job.spec.clone())
-        };
-        let loaded = match reload_spec {
-            Some(spec) => match load_encoded(&spec, self.shared.dataset_root.as_deref()) {
-                Ok(v) => Some(v),
-                Err(e) => {
-                    // Park the failure on the job so STATUS echoes it
-                    // (a coordinator polls STATUS, not this reply).
-                    let mut state = lock(&self.shared.state);
-                    if let Some(job) = state.jobs.get_mut(&id) {
-                        if matches!(job.state, JobState::Cancelled | JobState::Failed) {
-                            job.state = JobState::Failed;
-                            job.error = Some(e.clone());
-                        }
-                    }
-                    return Err(e);
-                }
-            },
-            None => None,
-        };
-
-        // Phase 2 — commit under the lock, re-checking the state (another
-        // client may have resumed or the job may have finished meanwhile).
-        let mut state = lock(&self.shared.state);
-        let st = &mut *state;
-        let job = st
-            .jobs
-            .get_mut(&id)
-            .ok_or_else(|| format!("no such job {id}"))?;
-        match job.state {
-            JobState::Cancelled | JobState::Failed => {}
-            // lost the race to another resume (or completion): that's fine
-            _ => return Ok(job.status()),
-        }
-        if job.data.is_none() {
-            let Some((data, m, hash)) = loaded else {
-                // data appeared and vanished again between the phases;
-                // exceedingly unlikely — ask the client to retry
-                return Err(format!("job {id} is mid-transition; retry resume"));
-            };
-            if m != job.plan.num_snps() {
-                let msg = format!(
-                    "dataset changed: checkpoint plan covers {} SNPs, file has {m}",
-                    job.plan.num_snps()
-                );
-                job.state = JobState::Failed;
-                job.error = Some(msg.clone());
-                return Err(msg);
-            }
-            // Re-admission: resuming re-loads the dataset, so the job
-            // must clear the memory budget again. A refusal leaves the
-            // job parked exactly as it was — retry later.
-            let actual = data
-                .resident_bytes()
-                .saturating_add(scratch_bytes(&job.spec));
-            if let Some(budget) = self.shared.mem_budget {
-                if st.mem_used.saturating_add(actual) > budget {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(format!(
-                        "over capacity (retry_after_ms=100): resume needs ~{actual} \
-                         bytes, {} of {budget} budget in use",
-                        st.mem_used
-                    ));
-                }
-            }
-            st.mem_used = st.mem_used.saturating_add(actual);
-            job.mem_charge = actual;
-            job.data = Some(Arc::new(data));
-            job.dataset_hash = Some(hash);
-        }
-        job.error = None;
-        // A resumed job gets a fresh deadline window: the time it spent
-        // parked was not its own spending.
-        job.deadline = job
-            .spec
-            .deadline_ms
-            .map(|ms| Instant::now() + Duration::from_millis(ms));
-        if job.missing_shards().is_empty() {
-            job.state = JobState::Done;
-            let status = job.status();
-            return Ok(status);
-        }
-        // Only shards that are missing *and* not mid-scan get re-enqueued:
-        // an in-flight shard of the cancelled job will record its own
-        // result, so re-enqueuing it would scan it twice.
-        let resumable = job.resumable_shards();
-        job.state = if resumable.is_empty() {
-            // everything left is already in flight; the workers will
-            // finish the job without new queue entries
-            JobState::Running
-        } else {
-            JobState::Queued
-        };
-        let tenant = job.tenant().to_string();
-        let priority = job.spec.priority;
-        let status = job.status();
-        for shard in resumable {
-            st.queue.push(&tenant, priority, (id, shard));
-        }
-        drop(state);
-        self.shared.work_ready.notify_all();
         Ok(status)
     }
 
@@ -724,7 +545,7 @@ impl Engine {
     /// Configured memory budget in bytes; `0` = unlimited (STATS
     /// `mem_budget=`).
     pub fn mem_budget(&self) -> u64 {
-        self.shared.mem_budget.unwrap_or(0)
+        self.shared.cfg.mem_budget.unwrap_or(0)
     }
 
     /// Submissions refused by admission control since engine start
@@ -791,11 +612,10 @@ impl Engine {
                 if matches!(job.state, JobState::Queued | JobState::Running) {
                     job.state = JobState::Cancelled;
                     job.error = Some("engine stopped before completion; RESUME to continue".into());
-                    job.data = None;
-                    st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-                    job.mem_charge = 0;
-                    snapshots.push(snapshot_if_spooled(job, self.shared.spool_dir.as_deref()));
+                    snapshots.push(self.shared.snapshot(job));
                 }
+                // the joined workers handed back every claimed shard
+                release_if_parked(job, &mut st.mem_used);
             }
         }
         for snapshot in snapshots {
@@ -805,12 +625,29 @@ impl Engine {
 }
 
 impl Shared {
+    /// Count an admission refusal and word it with the retry contract
+    /// clients parse.
+    fn over_capacity(&self, why: String) -> String {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+        format!("over capacity (retry_after_ms=100): {why}")
+    }
+
+    /// Checkpoint snapshot (with its ordering sequence), but only when a
+    /// spool directory is configured. Must be called under the state
+    /// lock: bumping `ckpt_seq` there is what makes the sequence match
+    /// snapshot order.
+    fn snapshot(&self, job: &mut Job) -> Option<(Checkpoint, u64)> {
+        self.cfg.spool_dir.as_ref()?;
+        job.ckpt_seq += 1;
+        Some((Checkpoint::of_job(job), job.ckpt_seq))
+    }
+
     /// Write a checkpoint snapshot to the spool, dropping it if a newer
     /// snapshot of the same job has already been written (snapshots are
     /// taken under the state lock but written outside it, so arrival
     /// order at this point is not snapshot order).
     fn write_checkpoint(&self, snapshot: Option<(Checkpoint, u64)>) {
-        let (Some(dir), Some((ck, seq))) = (&self.spool_dir, snapshot) else {
+        let (Some(dir), Some((ck, seq))) = (&self.cfg.spool_dir, snapshot) else {
             return;
         };
         let mut written = lock(&self.spool_written);
@@ -831,16 +668,6 @@ impl Shared {
             );
         }
     }
-}
-
-/// Checkpoint snapshot (with its ordering sequence), but only when a
-/// spool directory is configured. Must be called under the state lock:
-/// bumping `ckpt_seq` there is what makes the sequence match snapshot
-/// order.
-fn snapshot_if_spooled(job: &mut Job, spool: Option<&Path>) -> Option<(Checkpoint, u64)> {
-    spool?;
-    job.ckpt_seq += 1;
-    Some((Checkpoint::of_job(job), job.ckpt_seq))
 }
 
 /// Fail every queued/running job whose `deadline_ms=` budget has
@@ -871,11 +698,7 @@ fn sweep_deadlines(state: &mut EngineState) {
             job.spec.deadline_ms.unwrap_or(0)
         ));
         expired = true;
-        if job.in_flight.is_empty() {
-            job.data = None;
-            st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-            job.mem_charge = 0;
-        }
+        release_if_parked(job, &mut st.mem_used);
     }
     if expired {
         let jobs = &st.jobs;
@@ -885,6 +708,155 @@ fn sweep_deadlines(state: &mut EngineState) {
                 .unwrap_or(false)
         });
     }
+}
+
+/// What asks [`Engine::admit`] for a job: a new spec, or a parked job to
+/// resume.
+enum Ask {
+    Submit(JobSpec),
+    Resume(u64),
+}
+
+/// The one release rule: a job holds its dataset and its memory charge
+/// only while it is queued/running or has a shard in flight (workers
+/// scan through their own `Arc` clones, so the last shard to land
+/// releases it instead). Every transition that can end that calls this;
+/// RESUME reloads the dataset from `spec.path`.
+fn release_if_parked(job: &mut Job, mem_used: &mut u64) {
+    if !matches!(job.state, JobState::Queued | JobState::Running) && job.in_flight.is_empty() {
+        job.data = None;
+        *mem_used = mem_used.saturating_sub(std::mem::take(&mut job.mem_charge));
+    }
+}
+
+/// A SUBMIT whose `job_token=` is registered: the same work is echoed
+/// the existing job's status (the idempotency half of the
+/// retry-on-`over capacity` contract); other work under that token is
+/// refused rather than answered with a job it did not ask for.
+fn token_echo(st: &EngineState, spec: &JobSpec) -> Result<Option<JobStatus>, String> {
+    let Some(token) = &spec.job_token else {
+        return Ok(None);
+    };
+    let Some(&id) = st.tokens.get(token) else {
+        return Ok(None);
+    };
+    match st.jobs.get(&id) {
+        Some(job) if job.spec.same_work(spec) => Ok(Some(job.status())),
+        Some(_) => Err(format!(
+            "job_token {token:?} was admitted for a different job (job {id})"
+        )),
+        // reserved by a submit still loading its dataset
+        None => Err(format!("job_token {token:?} is mid-admission; retry")),
+    }
+}
+
+/// Undo an admission whose stat, load or commit failed: a RESUMEd job
+/// parks `Failed` with the error so STATUS echoes it (a coordinator
+/// polls STATUS, not this reply); a SUBMIT, whose job was never
+/// inserted, frees its token so the client can retry cleanly.
+fn roll_back(st: &mut EngineState, id: u64, e: String) -> String {
+    match st.jobs.get_mut(&id) {
+        Some(job) if matches!(job.state, JobState::Cancelled | JobState::Failed) => {
+            job.state = JobState::Failed;
+            job.error = Some(e.clone());
+        }
+        Some(_) => {}
+        None => st.tokens.retain(|_, owner| *owner != id),
+    }
+    e
+}
+
+/// Commit an admission's loaded dataset under the lock. A SUBMIT's
+/// job starts as its empty checkpoint would restore it: parked, nothing
+/// scanned. The parked job — if another RESUME (or its last in-flight
+/// shard) did not get there first, and its plan still fits the file —
+/// is then charged the encoded planes' exact footprint and put to work.
+fn commit(
+    st: &mut EngineState,
+    id: u64,
+    fresh: Option<JobSpec>,
+    (data, m, hash): (EncodedData, usize, u64),
+) -> Result<JobStatus, String> {
+    if let Some(spec) = fresh {
+        // shard_set indexes the *global* plan derived from this spec;
+        // an out-of-range index means the submitter's plan disagrees
+        // with ours — fail loudly rather than silently scan less.
+        match spec.shard_set.as_ref().map(ShardSet::max) {
+            Some(Some(max)) if max >= spec.shards => {
+                return Err(format!(
+                    "shard_set index {max} out of range: plan has {} shards",
+                    spec.shards
+                ))
+            }
+            Some(None) => return Err("shard_set selects no shards".into()),
+            _ => {}
+        }
+        let shard_results = vec![None; spec.shards as usize];
+        let mut job = Checkpoint {
+            job_id: id,
+            spec,
+            snps: m,
+            shard_results,
+        }
+        .into_job();
+        if job.plan.total_combos() == 0 {
+            // Degenerate dataset (M < 3): complete immediately with the
+            // empty result rather than scheduling no-op shards.
+            for shard in job.missing_shards() {
+                job.shard_results[shard as usize] = Some(Vec::new());
+            }
+        }
+        st.jobs.insert(id, job);
+    }
+    let job = st
+        .jobs
+        .get_mut(&id)
+        .ok_or_else(|| format!("no such job {id}"))?;
+    if !matches!(job.state, JobState::Cancelled | JobState::Failed) {
+        return Ok(job.status());
+    }
+    if m != job.plan.num_snps() {
+        return Err(format!(
+            "dataset changed: checkpoint plan covers {} SNPs, file has {m}",
+            job.plan.num_snps()
+        ));
+    }
+    if job.data.is_none() {
+        job.mem_charge = data
+            .resident_bytes()
+            .saturating_add(scratch_bytes(&job.spec));
+        st.mem_used = st.mem_used.saturating_add(job.mem_charge);
+        job.data = Some(Arc::new(data));
+        job.dataset_hash = Some(hash);
+    }
+    Ok(launch(job, &mut st.queue, &mut st.mem_used))
+}
+
+/// Put an admitted job to work: a fresh deadline window (time spent
+/// parked was not the job's own), and every missing shard that is not
+/// mid-scan on the job's dispatch lane — an in-flight shard of a
+/// cancelled job records its own result, so re-enqueuing it would scan
+/// it twice. A job with nothing missing is `Done` at once.
+fn launch(job: &mut Job, queue: &mut DispatchQueue, mem_used: &mut u64) -> JobStatus {
+    job.error = None;
+    job.deadline = job
+        .spec
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let resumable = job.resumable_shards();
+    job.state = if job.missing_shards().is_empty() {
+        JobState::Done
+    } else if resumable.is_empty() {
+        // everything left is in flight; the workers finish the job
+        JobState::Running
+    } else {
+        JobState::Queued
+    };
+    for shard in resumable {
+        queue.push(job.tenant(), job.spec.priority, (job.id, shard));
+    }
+    release_if_parked(job, mem_used);
+    job.status()
 }
 
 /// Queued/Running jobs accounted to `tenant` (concurrent-job quota).
@@ -915,12 +887,8 @@ fn estimate_footprint(spec: &JobSpec, root: Option<&Path>) -> Result<u64, String
 /// owned shard, `top_k` entries each — the same per-candidate
 /// accounting the kernel's cost model uses for its heap.
 fn scratch_bytes(spec: &JobSpec) -> u64 {
-    let owned = match &spec.shard_set {
-        Some(set) => set.len(),
-        None => spec.shards,
-    };
     let per_candidate = std::mem::size_of::<Candidate>() as u64;
-    owned
+    spec.owned_shards()
         .saturating_mul(spec.top_k.max(1) as u64)
         .saturating_mul(per_candidate)
 }
@@ -1015,7 +983,7 @@ fn worker_loop(shared: &Shared, widx: usize) {
                                 // plan's: a shard_set sub-job should batch
                                 // relative to the work it actually has
                                 job.owned_total() as usize,
-                                shared.workers,
+                                shared.cfg.workers,
                             );
                             let mut shards = vec![shard];
                             while shards.len() < cap {
@@ -1121,12 +1089,8 @@ fn worker_loop(shared: &Shared, widx: usize) {
                         }
                         job.state = JobState::Failed;
                         job.error = Some(format!("worker panicked on shard {shard}: {msg}"));
-                        if job.in_flight.is_empty() {
-                            job.data = None; // resume reloads from spec.path
-                            st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-                            job.mem_charge = 0;
-                        }
-                        snapshot_if_spooled(job, shared.spool_dir.as_deref())
+                        release_if_parked(job, &mut st.mem_used);
+                        shared.snapshot(job)
                     };
                     shared.write_checkpoint(checkpoint);
                     break;
@@ -1176,21 +1140,8 @@ fn worker_loop(shared: &Shared, widx: usize) {
                         job.in_flight.remove(&s);
                     }
                 }
-                // Failed jobs park like cancelled ones: when the last
-                // in-flight shard of a panic-failed job lands here,
-                // release the dataset too — resume reloads it from
-                // spec.path.
-                let parked = matches!(job.state, JobState::Cancelled | JobState::Failed)
-                    && job.in_flight.is_empty();
-                if job.data.is_some() && (job.state == JobState::Done || parked) {
-                    job.data = None; // release the encoded dataset; resume reloads
-                    st.mem_used = st.mem_used.saturating_sub(job.mem_charge);
-                    job.mem_charge = 0;
-                }
-                (
-                    snapshot_if_spooled(job, shared.spool_dir.as_deref()),
-                    abandon,
-                )
+                release_if_parked(job, &mut st.mem_used);
+                (shared.snapshot(job), abandon)
             };
             shared.write_checkpoint(checkpoint);
             if abandon {
@@ -1213,6 +1164,33 @@ mod tests {
         let data = DatasetSpec::with_planted_triple(m, n, [2, 5, 9], seed).generate();
         datagen::io::save_binary(&path, &data).unwrap();
         path
+    }
+
+    /// Once every job is stable: the accountant charges exactly the
+    /// jobs' own charges, and a job holds its dataset exactly while it
+    /// is queued/running or has a shard in flight.
+    fn assert_accounting(engine: &Engine) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !engine.jobs().iter().all(JobStatus::is_stable) {
+            assert!(Instant::now() < deadline, "engine never went quiescent");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let state = lock(&engine.shared.state);
+        let all: Vec<&Job> = state.jobs.values().collect();
+        let charged: u64 = all.iter().map(|j| j.mem_charge).sum();
+        assert_eq!(state.mem_used, charged, "mem_used is not the jobs' charges");
+        for job in all {
+            let live = matches!(job.state, JobState::Queued | JobState::Running)
+                || !job.in_flight.is_empty();
+            assert_eq!(
+                job.data.is_some(),
+                live,
+                "job {} is {} with {} shards in flight",
+                job.id,
+                job.state,
+                job.in_flight.len()
+            );
+        }
     }
 
     #[test]
@@ -1610,6 +1588,7 @@ mod tests {
         engine.resume(st.id).unwrap();
         let done = engine.wait(st.id, Duration::from_secs(60)).unwrap();
         assert_eq!(done.state, JobState::Done);
+        assert_accounting(&engine);
         engine.stop();
     }
 
@@ -1653,6 +1632,7 @@ mod tests {
         let done = engine.wait(healthy.id, Duration::from_secs(30)).unwrap();
         assert_eq!(done.state, JobState::Done);
         assert!(!engine.result(healthy.id).unwrap().is_empty());
+        assert_accounting(&engine);
         engine.stop();
     }
 
@@ -1954,6 +1934,7 @@ mod tests {
         let done = engine.wait(b.id, Duration::from_secs(30)).unwrap();
         assert_eq!(done.state, JobState::Done);
         assert_eq!(engine.mem_used(), 0);
+        assert_accounting(&engine);
         engine.stop();
     }
 
@@ -1996,6 +1977,7 @@ mod tests {
         // drained tenants disappear from the accounting
         assert!(engine.tenant_jobs().is_empty());
         assert_eq!(engine.queue_depth(), 0);
+        assert_accounting(&engine);
         engine.stop();
     }
 
@@ -2065,6 +2047,143 @@ mod tests {
         // both the expired job's queue entries and its charge are gone
         assert_eq!(engine.queue_depth(), 0);
         assert_eq!(engine.mem_used(), 0);
+        assert_accounting(&engine);
+        engine.stop();
+    }
+
+    #[test]
+    fn job_token_reused_for_different_work_is_refused() {
+        let path = write_dataset("tokenbind", 13, 128, 102);
+        let other = write_dataset("tokenbind-other", 13, 128, 103);
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let mut spec = JobSpec::new(path.to_str().unwrap());
+        spec.shards = 4;
+        spec.job_token = Some("tok-bind".into());
+        let first = engine.submit(spec.clone()).unwrap();
+        // a retry of the same work is echoed, whatever its scheduling keys
+        let mut retry = spec.clone();
+        retry.priority = 9;
+        retry.throttle_ms = 5;
+        assert_eq!(engine.submit(retry).unwrap().id, first.id);
+        // any change to what is scanned is a different job
+        let changes: [fn(&mut JobSpec); 7] = [
+            |s| s.version = Version::V2,
+            |s| s.shards = 5,
+            |s| s.shard_set = Some(ShardSet::from_indices([0, 1])),
+            |s| s.top_k = 5,
+            |s| s.objective = epi_core::scan::ObjectiveKind::NegMutualInformation,
+            |s| s.dataset_hash = Some(7),
+            |s| s.path.push_str(".moved"),
+        ];
+        for change in changes {
+            let mut changed = spec.clone();
+            change(&mut changed);
+            let err = engine.submit(changed).unwrap_err();
+            assert!(err.contains("was admitted for a different job"), "{err}");
+        }
+        let mut moved = spec.clone();
+        moved.path = other.to_str().unwrap().into();
+        let err = engine.submit(moved).unwrap_err();
+        assert!(err.contains("was admitted for a different job"), "{err}");
+        assert_eq!(engine.jobs().len(), 1);
+        let done = engine.wait(first.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        assert_eq!(engine.shards_scanned(), 4);
+        assert_accounting(&engine);
+        engine.stop();
+    }
+
+    #[test]
+    fn resume_is_held_to_the_tenant_job_quota() {
+        let path = write_dataset("resumequota", 14, 192, 98);
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            max_jobs_per_tenant: Some(1),
+            ..EngineConfig::default()
+        });
+        let mut spec = JobSpec::new(path.to_str().unwrap());
+        spec.shards = 6;
+        spec.throttle_ms = 40;
+        spec.tenant = Some("acme".into());
+        let parked = engine.submit(spec.clone()).unwrap();
+        engine.cancel(parked.id).unwrap();
+        engine.wait(parked.id, Duration::from_secs(30)).unwrap();
+        // the parked job frees acme's one slot for a second job, so
+        // resuming the first would make two
+        let running = engine.submit(spec).unwrap();
+        let err = engine.resume(parked.id).unwrap_err();
+        assert!(err.contains("over capacity (retry_after_ms="), "{err}");
+        assert!(err.contains("quota 1"), "{err}");
+        assert_eq!(engine.tenant_jobs(), vec![("acme".into(), 1)]);
+        // the refusal leaves the job parked as it was
+        assert_eq!(engine.status(parked.id).unwrap().state, JobState::Cancelled);
+        let done = engine.wait(running.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        engine.resume(parked.id).unwrap();
+        let done = engine.wait(parked.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        assert_accounting(&engine);
+        engine.stop();
+    }
+
+    #[test]
+    fn over_budget_resume_is_refused_before_the_file_is_read() {
+        let path = write_dataset("resumebudget", 14, 256, 99);
+        let other = write_dataset("resumebudget-other", 14, 256, 100);
+        let mut spec = JobSpec::new(path.to_str().unwrap());
+        spec.shards = 4;
+        spec.throttle_ms = 40;
+        // room for one job's stat estimate: a second concurrent job of
+        // the same size never fits
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            mem_budget: Some(estimate_footprint(&spec, None).unwrap()),
+            ..EngineConfig::default()
+        });
+        let parked = engine.submit(spec.clone()).unwrap();
+        engine.cancel(parked.id).unwrap();
+        engine.wait(parked.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(engine.mem_used(), 0);
+        // same length, so the same estimate, but unreadable: a resume
+        // that read the file before its budget check would say so
+        let len = std::fs::metadata(&path).unwrap().len() as usize;
+        std::fs::write(&path, vec![0xFF; len]).unwrap();
+        let mut busy = spec.clone();
+        busy.path = other.to_str().unwrap().into();
+        let running = engine.submit(busy).unwrap();
+        let err = engine.resume(parked.id).unwrap_err();
+        assert!(err.contains("over capacity (retry_after_ms="), "{err}");
+        assert_eq!(engine.status(parked.id).unwrap().state, JobState::Cancelled);
+        let done = engine.wait(running.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(done.state, JobState::Done);
+        assert_accounting(&engine);
+        engine.stop();
+    }
+
+    #[test]
+    fn resume_with_nothing_left_to_scan_ends_done_holding_nothing() {
+        let path = write_dataset("resumedone", 12, 128, 101);
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let mut spec = JobSpec::new(path.to_str().unwrap());
+        spec.shards = 1;
+        spec.throttle_ms = 400;
+        spec.deadline_ms = Some(100);
+        let st = engine.submit(spec).unwrap();
+        // the deadline fails the job while its only shard is mid-scan,
+        // and the shard still lands afterwards
+        let failed = engine.wait(st.id, Duration::from_secs(30)).unwrap();
+        assert_eq!(failed.state, JobState::Failed);
+        assert_eq!(failed.done, 1);
+        let resumed = engine.resume(st.id).unwrap();
+        assert_eq!(resumed.state, JobState::Done);
+        assert_eq!(engine.mem_used(), 0);
+        assert_accounting(&engine);
         engine.stop();
     }
 

@@ -70,22 +70,6 @@ pub enum EncodedData {
 }
 
 impl EncodedData {
-    /// Samples in the dataset (needed for scoring).
-    pub fn num_samples(&self) -> usize {
-        match self {
-            EncodedData::Split(ds) => ds.num_samples(),
-            EncodedData::Unsplit(ds) => ds.num_samples(),
-        }
-    }
-
-    /// SNPs in the dataset.
-    pub fn num_snps(&self) -> usize {
-        match self {
-            EncodedData::Split(ds) => ds.num_snps(),
-            EncodedData::Unsplit(ds) => ds.num_snps(),
-        }
-    }
-
     /// Resident footprint of the encoded bitplanes in bytes — what the
     /// engine's memory accountant charges an admitted job while its
     /// dataset stays loaded.
@@ -119,8 +103,9 @@ pub struct Job {
     /// Indices of shards currently being scanned by a worker. Tracked as
     /// a set so resume can avoid re-enqueuing work that is mid-scan.
     pub in_flight: HashSet<u64>,
-    /// Dataset encoded for scanning. `None` for jobs restored from a
-    /// checkpoint until RESUME reloads the file.
+    /// Dataset encoded for scanning. Held only while the job is
+    /// queued/running or has a shard in flight (the engine's release
+    /// rule); RESUME reloads the file.
     pub data: Option<Arc<EncodedData>>,
     /// Failure diagnostic when `state == Failed`.
     pub error: Option<String>,
@@ -164,10 +149,7 @@ impl Job {
 
     /// Number of shards this job owns (its `total` for progress).
     pub fn owned_total(&self) -> u64 {
-        match &self.spec.shard_set {
-            Some(set) => set.len(),
-            None => self.plan.num_shards(),
-        }
+        self.spec.owned_shards()
     }
 
     /// Combinations covered by the owned shards.

@@ -12,20 +12,25 @@
 //! ## Architecture
 //!
 //! ```text
-//!  client ──TCP──>  Server ──> Engine ── shard queue ──> worker pool
-//!                                 │                          │
-//!                            job table <── per-shard TopK ───┘
+//!  client ──TCP──>  Server ──> Engine ── dispatch lanes ──> worker pool
+//!                                 │                            │
+//!                            job table <── per-shard TopK ─────┘
 //!                                 │
 //!                            spool dir (job-<id>.ckpt)
 //! ```
 //!
 //! * [`spec::JobSpec`] — what to scan: dataset path, Version, shard
 //!   count, top-K, objective.
-//! * [`engine::Engine`] — job table + shared FIFO shard queue + workers.
-//!   Each worker claims one `(job, shard)` task at a time, scans it
-//!   single-threaded with [`epi_core::shard::scan_shard_split`] /
-//!   [`scan_shard_unsplit`](epi_core::shard::scan_shard_unsplit), and
-//!   records the shard's sorted candidates under the job.
+//! * [`engine::Engine`] — job table + dispatch queue + workers. SUBMIT
+//!   and RESUME pass one admission path (quotas and memory budget
+//!   against a stat-only estimate, then one load). The
+//!   [`queue::DispatchQueue`] keeps one lane per `(priority, tenant)`
+//!   under stride scheduling. Each worker claims a run-aware batch of
+//!   consecutive shards of one job, scans them single-threaded with
+//!   [`epi_core::shard::scan_shard_split_cached`] over a worker-local
+//!   pair-prefix cache (or
+//!   [`scan_shard_unsplit`](epi_core::shard::scan_shard_unsplit) for
+//!   V1), and records each shard's sorted candidates under the job.
 //! * [`codec::Checkpoint`] — std-only, line-oriented serialization of a
 //!   job's spec + completed shard results. Scores are stored as
 //!   `f64::to_bits` hex so resumes stay bit-identical.
@@ -66,21 +71,24 @@
 //! weight, 9 highest), `deadline_ms=<N>` (wall-clock completion
 //! budget; expiry fails the job and workers abandon its remaining
 //! shards), `job_token=<tok>` (idempotency token — resubmitting the
-//! same token echoes the original job, making `over capacity` retries
-//! safe), and `panic_shard=N` / `fail_partial=N` (fault injection,
+//! same token for the same work echoes the original job, making
+//! `over capacity` retries safe; different work under an admitted token
+//! is refused), and `panic_shard=N` / `fail_partial=N` (fault injection,
 //! tests only).
 //!
 //! ## Resource governance
 //!
-//! Admission control happens *before* any allocation: a memory
-//! accountant charges each job its encoded-dataset + result-scratch
-//! footprint against [`EngineConfig::mem_budget`], and per-tenant
-//! quotas ([`EngineConfig::max_jobs_per_tenant`],
+//! Admission control happens *before* any read or allocation, for
+//! SUBMIT and RESUME alike: a memory accountant charges each job its
+//! encoded-dataset + result-scratch footprint against
+//! [`EngineConfig::mem_budget`], and per-tenant quotas
+//! ([`EngineConfig::max_jobs_per_tenant`],
 //! [`EngineConfig::max_queued_per_tenant`]) bound what one `tenant=`
-//! can hold. Work the server cannot take is refused with
-//! `ERR over capacity (retry_after_ms=N)`; [`Client::submit`] retries
-//! that refusal with jittered backoff when the spec carries a
-//! `job_token=`. Dispatch is stride-scheduled per (priority, tenant)
+//! can hold. A job holds its dataset and charge only while it is
+//! queued/running or has a shard in flight. Work the server cannot
+//! take is refused with `ERR over capacity (retry_after_ms=N)`;
+//! [`Client::submit`] retries that refusal with jittered backoff when
+//! the spec carries a `job_token=`. Dispatch is stride-scheduled per (priority, tenant)
 //! lane ([`queue::DispatchQueue`]) with shard-granularity preemption,
 //! and `deadline_ms=` windows are swept on every admission/claim wake.
 //! The spool behind checkpoint persistence goes through an injectable

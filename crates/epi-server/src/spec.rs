@@ -56,7 +56,8 @@ pub struct JobSpec {
     /// coordinator retries harvests instead of losing shards.
     pub fail_partial: u32,
     /// Tenant this job is accounted to (`tenant=` key). Per-tenant
-    /// concurrent-job and queued-shard quotas apply at SUBMIT, and the
+    /// concurrent-job and queued-shard quotas apply at SUBMIT and
+    /// RESUME, and the
     /// weighted-fair dispatcher round-robins shard claims across the
     /// tenants of one priority band. `None` = the `default` tenant.
     pub tenant: Option<String>,
@@ -76,7 +77,10 @@ pub struct JobSpec {
     /// whose token the engine has already admitted returns the existing
     /// job's status instead of creating a duplicate — what makes the
     /// client's retry-on-`over capacity` backoff loop safe even when a
-    /// reply was lost in transit. `None` = every SUBMIT is a new job.
+    /// reply was lost in transit. The token is bound to its job's work
+    /// (path, version, shards, shard set, top-K, objective and dataset
+    /// hash): a SUBMIT asking for different work under it is refused.
+    /// `None` = every SUBMIT is a new job.
     pub job_token: Option<String>,
 }
 
@@ -110,6 +114,24 @@ impl JobSpec {
             priority: Self::DEFAULT_PRIORITY,
             deadline_ms: None,
             job_token: None,
+        }
+    }
+
+    /// Do both specs ask for the same result? Only the keys that decide
+    /// what is scanned and kept count; scheduling, accounting and fault
+    /// injection keys do not. A `job_token=` is bound to this.
+    pub(crate) fn same_work(&self, other: &JobSpec) -> bool {
+        (&self.path, self.version, self.shards, &self.shard_set)
+            == (&other.path, other.version, other.shards, &other.shard_set)
+            && (self.top_k, self.objective, self.dataset_hash)
+                == (other.top_k, other.objective, other.dataset_hash)
+    }
+
+    /// Shards this spec's job owns: its `shard_set`, or the whole plan.
+    pub(crate) fn owned_shards(&self) -> u64 {
+        match &self.shard_set {
+            Some(set) => set.len(),
+            None => self.shards,
         }
     }
 
